@@ -27,7 +27,7 @@ kernelSeconds(const pimsim::PimConfig &pim_cfg,
               const rlcore::Dataset &data, NumericFormat format)
 {
     pimsim::PimSystem system(pim_cfg);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload =
         Workload{Algorithm::QLearning, Sampling::Seq, format};
     cfg.hyper.episodes = 5;
@@ -114,7 +114,7 @@ main(int argc, char **argv)
         cfg.numDpus = 2000;
         cfg.transferModel.scatterPerDpuSec = us * 1e-6;
         pimsim::PimSystem system(cfg);
-        PimTrainConfig tcfg;
+        SessionConfig tcfg;
         tcfg.workload = Workload{Algorithm::QLearning, Sampling::Str,
                                  NumericFormat::Int32};
         tcfg.hyper.episodes = 5;

@@ -45,7 +45,7 @@ main(int argc, char **argv)
         if (tau > episodes)
             break;
         auto system = bench::makePimSystem(cores);
-        PimTrainConfig cfg;
+        SessionConfig cfg;
         cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                                 NumericFormat::Int32};
         cfg.hyper.episodes = episodes;

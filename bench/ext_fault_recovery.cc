@@ -72,7 +72,7 @@ main(int argc, char **argv)
     const auto num_actions = probe->numActions();
     const auto data = bench::collectDataset(env_name, transitions, 11);
 
-    PimTrainConfig train_cfg;
+    SessionConfig train_cfg;
     train_cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                                   NumericFormat::Fp32};
     train_cfg.hyper.episodes = episodes;
@@ -218,13 +218,13 @@ main(int argc, char **argv)
 
     // ---- 5. streaming trainer, across actor counts ------------------
     StreamingConfig scfg;
-    scfg.workload = train_cfg.workload;
-    scfg.hyper.episodes = std::max(1, episodes / 4);
-    scfg.tau = std::min(5, scfg.hyper.episodes);
+    scfg.session.workload = train_cfg.workload;
+    scfg.session.hyper.episodes = std::max(1, episodes / 4);
+    scfg.session.tau = std::min(5, scfg.session.hyper.episodes);
     scfg.generations = 4;
     scfg.transitionsPerGeneration = transitions / 4;
     scfg.refreshPeriod = 2;
-    scfg.retry = train_cfg.retry;
+    scfg.session.retry = train_cfg.retry;
     pimsim::FaultPlan splan;
     splan.seed = 7;
     splan.transientRate = 0.1 / static_cast<double>(cores);

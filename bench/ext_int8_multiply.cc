@@ -60,7 +60,7 @@ main(int argc, char **argv)
              {NumericFormat::Fp32, NumericFormat::Int32,
               NumericFormat::Int8}) {
             auto system = bench::makePimSystem(cores);
-            PimTrainConfig cfg;
+            SessionConfig cfg;
             cfg.workload =
                 Workload{Algorithm::QLearning, Sampling::Seq, format};
             cfg.hyper.episodes = episodes;

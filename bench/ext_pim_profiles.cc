@@ -53,7 +53,7 @@ main(int argc, char **argv)
             pim.costModel = profile.costModel;
             pimsim::PimSystem system(pim);
 
-            PimTrainConfig cfg;
+            SessionConfig cfg;
             cfg.workload =
                 Workload{Algorithm::QLearning, Sampling::Seq, format};
             cfg.hyper.episodes = 10;

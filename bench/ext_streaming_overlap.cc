@@ -59,14 +59,14 @@ main(int argc, char **argv)
                          std::size_t run_per_gen) {
         auto system = bench::makePimSystem(run_cores);
         StreamingConfig cfg;
-        cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
-                                NumericFormat::Int32};
-        cfg.hyper.episodes = episodes;
-        cfg.tau = std::min(10, episodes);
+        cfg.session.workload = Workload{
+            Algorithm::QLearning, Sampling::Seq, NumericFormat::Int32};
+        cfg.session.hyper.episodes = episodes;
+        cfg.session.tau = std::min(10, episodes);
         cfg.generations = generations;
         cfg.transitionsPerGeneration = run_per_gen;
         cfg.actors = actors;
-        cfg.tasklets = tasklets;
+        cfg.session.tasklets = tasklets;
         cfg.refreshPeriod = 2;
         cfg.overlap = overlap;
         StreamingTrainer trainer(system, cfg);

@@ -57,7 +57,7 @@ main(int argc, char **argv)
         double base = 0.0;
         for (const unsigned tasklets : {1u, 2u, 4u, 8u, 11u, 16u}) {
             auto system = bench::makePimSystem(cores);
-            PimTrainConfig cfg;
+            SessionConfig cfg;
             cfg.workload =
                 Workload{Algorithm::QLearning, Sampling::Seq, format};
             cfg.hyper.episodes = 10;

@@ -50,7 +50,7 @@ main(int argc, char **argv)
         const auto data = rlcore::collectRandomDataset(*env, n, 1);
 
         auto system = bench::makePimSystem(cores);
-        PimTrainConfig cfg;
+        SessionConfig cfg;
         cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                                 NumericFormat::Int32};
         cfg.hyper.episodes = episodes;

@@ -56,7 +56,7 @@ main(int argc, char **argv)
         int slot = 0;
         for (const bool weighted : {false, true}) {
             auto system = bench::makePimSystem(cores);
-            PimTrainConfig cfg;
+            SessionConfig cfg;
             cfg.workload = Workload{Algorithm::QLearning,
                                     Sampling::Seq,
                                     NumericFormat::Int32};

@@ -58,7 +58,7 @@ pimSeconds(const rlcore::Dataset &data, const EnvSetup &env_setup,
            rlenv::Environment &env, const Workload &workload)
 {
     auto system = bench::makePimSystem(kPimCores);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = workload;
     cfg.hyper.episodes = kTau; // one round simulated
     cfg.tau = kTau;

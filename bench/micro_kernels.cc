@@ -99,7 +99,7 @@ BM_PimSimulatedEpoch(benchmark::State &state)
         pimsim::PimConfig pim_cfg;
         pim_cfg.numDpus = 16;
         pimsim::PimSystem system(pim_cfg);
-        PimTrainConfig cfg;
+        SessionConfig cfg;
         cfg.workload =
             Workload{Algorithm::QLearning, Sampling::Seq, format};
         cfg.hyper.episodes = 1;

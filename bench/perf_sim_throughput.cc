@@ -107,7 +107,7 @@ measureCase(const PerfCase &shape, const rlcore::Dataset &data,
 
     for (int rep = 0; rep < reps; ++rep) {
         auto system = bench::makePimSystem(cores, host_threads);
-        PimTrainConfig cfg;
+        SessionConfig cfg;
         cfg.workload = shape.workload;
         cfg.hyper.episodes = tau; // one communication round
         cfg.tau = tau;
@@ -245,12 +245,11 @@ main(int argc, char **argv)
         static_cast<int>(flags.getInt("reps", smoke ? 1 : 3));
     const unsigned host_threads =
         static_cast<unsigned>(flags.getInt("host-threads", 0));
-    // --batch-exec 0/1 overrides the build default
-    // (SWIFTRL_BATCH_EXEC): run eligible launches through the
-    // lockstep batch interpreter. Modelled outputs are bit-identical
-    // either way; only wall_sec moves.
+    // --batch-exec 0 runs every launch on the scalar interpreter
+    // instead of the default lockstep batch interpreter. Modelled
+    // outputs are bit-identical either way; only wall_sec moves.
     const bool batch_exec =
-        flags.getBool("batch-exec", PimTrainConfig{}.batchExec);
+        flags.getBool("batch-exec", SessionConfig{}.batchExec);
     // --sweep 0 skips the host-pool scaling points (they rerun the
     // first workload once per pool size).
     const bool sweep_enabled = flags.getBool("sweep", true);

@@ -90,10 +90,10 @@ ladder(bool smoke)
     };
 }
 
-PimTrainConfig
+SessionConfig
 trainConfig(std::size_t shards, int episodes)
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{rlcore::Algorithm::QLearning,
                             rlcore::Sampling::Seq,
                             rlcore::NumericFormat::Fp32};

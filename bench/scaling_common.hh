@@ -68,7 +68,7 @@ measureScalingPoint(const ScalingFigureConfig &fig,
                     pimsim::Timeline *timeline_out = nullptr)
 {
     auto system = makePimSystem(cores, fig.hostThreads);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = workload;
     cfg.hyper.episodes = fig.tau; // one communication round
     cfg.hyper.stride = fig.stride;

@@ -46,7 +46,7 @@ pimQuality(const rlcore::Dataset &data, rlenv::Environment &eval_env,
            Algorithm algo, int tau, int episodes, std::size_t cores)
 {
     auto system = makePimSystem(cores);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{algo, Sampling::Seq, NumericFormat::Int32};
     cfg.hyper.episodes = episodes;
     cfg.tau = tau;

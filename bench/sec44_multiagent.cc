@@ -45,7 +45,7 @@ pimMultiAgentSeconds(std::size_t agents, int simulated_episodes)
     }
 
     auto system = bench::makePimSystem(agents);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int32};
     cfg.hyper.episodes = simulated_episodes;

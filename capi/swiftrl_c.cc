@@ -7,10 +7,12 @@
  * The one design rule of this layer: *validate, then call*. The C++
  * layer treats invalid configuration as a programming error and
  * aborts (SWIFTRL_FATAL); here every input crosses a trust boundary,
- * so each entry point re-checks what the C++ constructors would be
- * fatal about — JSON shape, enum spellings, numeric ranges,
- * checkpoint identity — and turns the failure into a status code
- * plus a thread-local message before any fatal path is reachable.
+ * so each entry point checks what the C++ constructors would be
+ * fatal about — JSON shape, enum spellings, the session rules
+ * (through the same sessionConfigInvalidReason() the constructors
+ * use), checkpoint identity — and turns the failure into a status
+ * code plus a thread-local message before any fatal path is
+ * reachable.
  */
 
 #include "capi/swiftrl.h"
@@ -222,49 +224,25 @@ parseTrainParams(const char *params_json, TrainParams &params,
         static_cast<float>(doc->numberOr("gamma", hyper.gamma));
     hyper.epsilon =
         static_cast<float>(doc->numberOr("epsilon", hyper.epsilon));
-    hyper.episodes =
-        static_cast<int>(doc->intOr("episodes", hyper.episodes));
-    hyper.stride =
-        static_cast<int>(doc->intOr("stride", hyper.stride));
     hyper.seed =
         static_cast<std::uint64_t>(doc->intOr("seed", 42));
-    if (hyper.episodes <= 0) {
-        reason = "params_json: \"episodes\" must be >= 1";
-        return false;
-    }
-    if (hyper.stride <= 0) {
-        reason = "params_json: \"stride\" must be >= 1";
-        return false;
-    }
 
+    // Saturated, so an out-of-range count reaches the session rules
+    // below instead of wrapping into range.
+    using swiftrl::json::saturate;
+    hyper.episodes =
+        saturate<int>(doc->intOr("episodes", hyper.episodes));
+    hyper.stride = saturate<int>(doc->intOr("stride", hyper.stride));
     params.session.tau =
-        static_cast<int>(doc->intOr("tau", params.session.tau));
-    if (params.session.tau <= 0) {
-        reason = "params_json: \"tau\" must be >= 1";
-        return false;
-    }
-    const long block = doc->intOr("block_transitions", 128);
-    if (block < 1) {
-        reason = "params_json: \"block_transitions\" must be >= 1";
-        return false;
-    }
+        saturate<int>(doc->intOr("tau", params.session.tau));
     params.session.blockTransitions =
-        static_cast<std::size_t>(block);
-    const long tasklets = doc->intOr("tasklets", 1);
-    if (tasklets < 1 || tasklets > 24) {
-        reason = "params_json: \"tasklets\" must be in 1..24";
-        return false;
-    }
-    params.session.tasklets = static_cast<unsigned>(tasklets);
+        saturate<std::size_t>(doc->intOr("block_transitions", 128));
+    params.session.tasklets =
+        saturate<unsigned>(doc->intOr("tasklets", 1));
     params.session.weightedAggregation =
         doc->boolOr("weighted", false);
     params.session.epsilonDecay = static_cast<float>(
         doc->numberOr("epsilon_decay", 1.0));
-    if (!(params.session.epsilonDecay > 0.0f) ||
-        params.session.epsilonDecay > 1.0f) {
-        reason = "params_json: \"epsilon_decay\" must be in (0, 1]";
-        return false;
-    }
 
     const long shards = doc->intOr("shards", 0);
     if (shards < 0) {
@@ -272,16 +250,18 @@ parseTrainParams(const char *params_json, TrainParams &params,
         return false;
     }
     params.session.shards = static_cast<std::size_t>(shards);
+
+    const std::string session_reason =
+        swiftrl::sessionConfigInvalidReason(params.session);
+    if (!session_reason.empty()) {
+        reason = "params_json: " + session_reason;
+        return false;
+    }
     if (params.session.shards > 0) {
-        // Everything TrainerSession would be fatal about, rechecked
-        // here so an embedder gets a status code instead of abort():
-        // mode compatibility, plan validity, and the conservative
-        // MRAM demand bound against the default bank size.
-        if (params.session.weightedAggregation) {
-            reason = "params_json: \"shards\" and \"weighted\" are "
-                     "incompatible";
-            return false;
-        }
+        // What TrainerSession would be fatal about at begin time,
+        // rechecked here so an embedder gets a status code instead of
+        // abort(): plan validity and the conservative MRAM demand
+        // bound against the default bank size.
         const std::string plan_reason = swiftrl::shardPlanInvalidReason(
             params.numStates, params.session.shards, params.cores);
         if (!plan_reason.empty()) {

@@ -45,7 +45,7 @@ main(int argc, char **argv)
         pim.numDpus = cores;
         pimsim::PimSystem system(pim);
 
-        PimTrainConfig cfg;
+        SessionConfig cfg;
         cfg.workload = workload;
         cfg.hyper.episodes = episodes;
         cfg.tau = 25;

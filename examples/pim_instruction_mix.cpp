@@ -37,7 +37,7 @@ main(int argc, char **argv)
         pim.numDpus = 64;
         pimsim::PimSystem system(pim);
 
-        PimTrainConfig cfg;
+        SessionConfig cfg;
         cfg.workload =
             Workload{Algorithm::QLearning, Sampling::Seq, format};
         cfg.hyper.episodes = 5;

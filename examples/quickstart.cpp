@@ -34,7 +34,7 @@ main()
     pimsim::PimSystem system(pim);
 
     // 3. Train Q-learning-SEQ-INT32 for 100 episodes, tau = 25.
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{rlcore::Algorithm::QLearning,
                             rlcore::Sampling::Seq,
                             rlcore::NumericFormat::Int32};

@@ -52,7 +52,7 @@ main(int argc, char **argv)
         pimsim::PimConfig pim;
         pim.numDpus = 256;
         pimsim::PimSystem system(pim);
-        PimTrainConfig cfg;
+        SessionConfig cfg;
         cfg.workload = Workload{rlcore::Algorithm::QLearning, sampling,
                                 rlcore::NumericFormat::Int32};
         cfg.hyper.episodes = 5;

@@ -413,14 +413,30 @@ main(int argc, char **argv)
     const auto transitions = static_cast<std::size_t>(
         flags.getInt("transitions", 100'000));
 
+    // Training configuration, shared by both modes; the session and
+    // trainer constructors reject invalid values and combinations.
+    SessionConfig session;
+    session.workload = workload;
+    session.hyper = hyper;
+    session.tau = static_cast<int>(flags.getInt("tau", 50));
+    session.tasklets =
+        static_cast<unsigned>(flags.getInt("tasklets", 1));
+    // --batch-exec 0 runs every launch on the scalar interpreter, the
+    // batch engine's reference. Bit-identical results; host
+    // wall-clock only.
+    session.batchExec = flags.getBool("batch-exec", session.batchExec);
+    session.weightedAggregation = flags.getBool("weighted", false);
+    // --shards S: partition the Q-table into S contiguous state
+    // ranges with replicated slices per core group — the path for
+    // procedurally scaled environments (--env lake:64, mptaxi:8x3)
+    // whose tables outgrow whole-table replication.
+    session.shards =
+        static_cast<std::size_t>(flags.getInt("shards", 0));
+    session.retry = retry;
+    session.metrics = want_metrics ? &metrics : nullptr;
+
     if (flags.getBool("streaming", false)) {
         // --- streaming actor–learner mode ---------------------------
-        if (flags.getBool("weighted", false))
-            SWIFTRL_FATAL("--weighted is not available in streaming "
-                          "mode");
-        if (flags.getInt("shards", 0) > 0)
-            SWIFTRL_FATAL("--shards is offline-only; streaming "
-                          "generations replicate the whole table");
         if (!flags.getString("checkpoint", "").empty() ||
             !flags.getString("restore", "").empty()) {
             SWIFTRL_FATAL("--checkpoint/--restore drive the offline "
@@ -428,48 +444,39 @@ main(int argc, char **argv)
                           "the TrainerSession API instead");
         }
         StreamingConfig cfg;
-        cfg.workload = workload;
-        cfg.hyper = hyper;
+        cfg.session = session;
         cfg.generations =
             static_cast<int>(flags.getInt("generations", 8));
         // --episodes and --transitions are run totals in both modes;
         // streaming splits them evenly across the generations.
-        cfg.hyper.episodes =
+        cfg.session.hyper.episodes =
             std::max(1, hyper.episodes / std::max(1, cfg.generations));
         cfg.transitionsPerGeneration =
             transitions /
             static_cast<std::size_t>(std::max(1, cfg.generations));
-        cfg.tau = static_cast<int>(flags.getInt("tau", 50));
-        if (cfg.tau > cfg.hyper.episodes)
-            cfg.tau = cfg.hyper.episodes;
-        cfg.tasklets =
-            static_cast<unsigned>(flags.getInt("tasklets", 1));
-        cfg.batchExec = flags.getBool("batch-exec", cfg.batchExec);
         cfg.actors = static_cast<unsigned>(flags.getInt("actors", 1));
         cfg.refreshPeriod =
             static_cast<int>(flags.getInt("refresh-period", 0));
         cfg.collectSeed =
             static_cast<std::uint64_t>(flags.getInt("seed", 1)) + 977;
-        cfg.retry = retry;
-        cfg.metrics = want_metrics ? &metrics : nullptr;
 
         manifest.mode = "streaming";
-        manifest.workload = cfg.workload.name();
-        manifest.tasklets = cfg.tasklets;
-        manifest.episodes = cfg.hyper.episodes;
-        manifest.tau = cfg.tau;
+        manifest.workload = workload.name();
+        manifest.tasklets = session.tasklets;
+        manifest.episodes = cfg.session.hyper.episodes;
+        manifest.tau = session.tau;
         manifest.transitions = cfg.transitionsPerGeneration;
         manifest.generations = cfg.generations;
         manifest.actors = cfg.actors;
         manifest.refreshPeriod = cfg.refreshPeriod;
-        manifest.alpha = cfg.hyper.alpha;
-        manifest.gamma = cfg.hyper.gamma;
-        manifest.epsilon = cfg.hyper.epsilon;
+        manifest.alpha = hyper.alpha;
+        manifest.gamma = hyper.gamma;
+        manifest.epsilon = hyper.epsilon;
         manifest.collectSeed = cfg.collectSeed;
-        manifest.trainSeed = cfg.hyper.seed;
+        manifest.trainSeed = hyper.seed;
         manifest.retryLimit = retry.limit;
 
-        std::cout << "streaming " << cfg.workload.name() << " on "
+        std::cout << "streaming " << workload.name() << " on "
                   << pim.numDpus << " PIM cores, " << cfg.generations
                   << " generations x " << cfg.transitionsPerGeneration
                   << " transitions, " << cfg.actors
@@ -525,51 +532,27 @@ main(int argc, char **argv)
         std::cout << "dataset saved to " << save_data << "\n";
     }
 
-    PimTrainConfig cfg;
-    cfg.workload = workload;
-    cfg.hyper = hyper;
-    cfg.tau = static_cast<int>(flags.getInt("tau", 50));
-    if (cfg.tau > cfg.hyper.episodes)
-        cfg.tau = cfg.hyper.episodes;
-    cfg.tasklets =
-        static_cast<unsigned>(flags.getInt("tasklets", 1));
-    // --batch-exec 0/1: override the build default (SWIFTRL_BATCH_EXEC)
-    // for the lockstep batch interpreter. Bit-identical results; host
-    // wall-clock only.
-    cfg.batchExec = flags.getBool("batch-exec", cfg.batchExec);
-    cfg.weightedAggregation = flags.getBool("weighted", false);
-    // --shards S: partition the Q-table into S contiguous state
-    // ranges with replicated slices per core group — the path for
-    // procedurally scaled environments (--env lake:64, mptaxi:8x3)
-    // whose tables outgrow whole-table replication.
-    cfg.shards = static_cast<std::size_t>(flags.getInt("shards", 0));
-    if (cfg.shards > 0 && cfg.weightedAggregation)
-        SWIFTRL_FATAL("--shards and --weighted are incompatible "
-                      "(sharded aggregation has no visit counts)");
-    cfg.retry = retry;
-    cfg.metrics = want_metrics ? &metrics : nullptr;
-
     manifest.mode = "offline";
-    manifest.workload = cfg.workload.name();
-    manifest.tasklets = cfg.tasklets;
-    manifest.episodes = cfg.hyper.episodes;
-    manifest.tau = cfg.tau;
+    manifest.workload = workload.name();
+    manifest.tasklets = session.tasklets;
+    manifest.episodes = hyper.episodes;
+    manifest.tau = session.tau;
     manifest.transitions = data.size();
-    manifest.weightedAggregation = cfg.weightedAggregation;
-    manifest.alpha = cfg.hyper.alpha;
-    manifest.gamma = cfg.hyper.gamma;
-    manifest.epsilon = cfg.hyper.epsilon;
+    manifest.weightedAggregation = session.weightedAggregation;
+    manifest.alpha = hyper.alpha;
+    manifest.gamma = hyper.gamma;
+    manifest.epsilon = hyper.epsilon;
     manifest.collectSeed =
         static_cast<std::uint64_t>(flags.getInt("seed", 1));
-    manifest.trainSeed = cfg.hyper.seed;
+    manifest.trainSeed = hyper.seed;
     manifest.retryLimit = retry.limit;
 
-    std::cout << "training " << cfg.workload.name() << " on "
-              << pim.numDpus << " PIM cores x " << cfg.tasklets
-              << " tasklet(s), " << cfg.hyper.episodes
-              << " episodes, tau=" << cfg.tau << "\n";
+    std::cout << "training " << workload.name() << " on "
+              << pim.numDpus << " PIM cores x " << session.tasklets
+              << " tasklet(s), " << hyper.episodes
+              << " episodes, tau=" << session.tau << "\n";
 
-    PimTrainer trainer(system, cfg);
+    PimTrainer trainer(system, session);
 
     // --checkpoint PATH [--pause-round N]: train to round boundary N,
     // persist the session checkpoint, and stop — no retrieval, no

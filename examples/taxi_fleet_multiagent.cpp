@@ -51,7 +51,7 @@ main(int argc, char **argv)
     pim.numDpus = agents; // one agent per PIM core
     pimsim::PimSystem system(pim);
 
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{rlcore::Algorithm::QLearning,
                             rlcore::Sampling::Seq,
                             rlcore::NumericFormat::Int32};

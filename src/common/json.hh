@@ -28,6 +28,7 @@
 #define SWIFTRL_COMMON_JSON_HH
 
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -94,6 +95,21 @@ class JsonValue
     std::string stringOr(std::string_view key,
                          std::string_view fallback) const;
 };
+
+/**
+ * An integer member narrowed to T, saturated at T's limits: an
+ * out-of-range value stays out of range (and keeps its sign) instead
+ * of wrapping into the range a later check accepts.
+ */
+template <typename T>
+T
+saturate(long value)
+{
+    if (std::in_range<T>(value))
+        return static_cast<T>(value);
+    return value < 0 ? std::numeric_limits<T>::min()
+                     : std::numeric_limits<T>::max();
+}
 
 /**
  * Parse @p text as one JSON document (trailing whitespace allowed,

@@ -20,6 +20,17 @@ FleetConfig::weightFor(const std::string &tenant) const
     return 1.0;
 }
 
+SessionConfig
+sessionConfigFor(const JobSpec &spec)
+{
+    SessionConfig cfg;
+    cfg.workload = spec.workload;
+    cfg.hyper = spec.hyper;
+    cfg.tau = spec.tau;
+    cfg.tasklets = spec.tasklets;
+    return cfg;
+}
+
 namespace {
 
 /** Reject members outside @p allowed (operator typos fail loudly). */
@@ -90,16 +101,13 @@ parseJob(const json::JsonValue &j, std::size_t index)
         rlcore::parseSampling(j.stringOr("sampling", "seq"));
     spec.workload.format =
         rlcore::parseNumericFormat(j.stringOr("format", "int32"));
-    spec.hyper.episodes = static_cast<int>(
-        positiveInt(j, "episodes", 100, where.c_str()));
-    spec.tau =
-        static_cast<int>(positiveInt(j, "tau", 50, where.c_str()));
-    if (spec.tau > spec.hyper.episodes)
-        spec.tau = spec.hyper.episodes;
+    // Saturated, so an out-of-range count reaches the session rules
+    // below instead of wrapping into range.
+    spec.hyper.episodes = json::saturate<int>(j.intOr("episodes", 100));
+    spec.tau = json::saturate<int>(j.intOr("tau", 50));
+    spec.tasklets = json::saturate<unsigned>(j.intOr("tasklets", 1));
     spec.transitions = static_cast<std::size_t>(
         positiveInt(j, "transitions", 20'000, where.c_str()));
-    spec.tasklets = static_cast<unsigned>(
-        positiveInt(j, "tasklets", 1, where.c_str()));
     spec.hyper.alpha = static_cast<float>(j.numberOr("alpha", 0.1));
     spec.hyper.gamma = static_cast<float>(j.numberOr("gamma", 0.95));
     spec.hyper.epsilon =
@@ -112,6 +120,10 @@ parseJob(const json::JsonValue &j, std::size_t index)
         static_cast<std::uint64_t>(j.intOr("seed", 1));
     spec.collectSeed = seed;
     spec.hyper.seed = seed + 41;
+    const std::string reason =
+        sessionConfigInvalidReason(sessionConfigFor(spec));
+    if (!reason.empty())
+        SWIFTRL_FATAL("fleet spec: job \"", spec.id, "\": ", reason);
     return spec;
 }
 

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "rlcore/types.hh"
+#include "swiftrl/session.hh"
 #include "swiftrl/workload.hh"
 
 namespace swiftrl {
@@ -75,7 +76,7 @@ struct JobSpec
     /** Hyper-parameters; hyper.episodes is the episode budget. */
     rlcore::Hyper hyper;
 
-    /** Synchronisation period tau (clamped to episodes). */
+    /** Synchronisation period tau. */
     int tau = 50;
 
     /** Offline dataset size collected for the job. */
@@ -94,6 +95,10 @@ struct JobSpec
         return minRanks == 0 ? ranks : minRanks;
     }
 };
+
+/** The session configuration a job trains with, standalone or in the
+ *  fleet. */
+SessionConfig sessionConfigFor(const JobSpec &spec);
 
 /** The shared fleet and the scheduling policy knobs. */
 struct FleetConfig
@@ -151,7 +156,9 @@ struct FleetSpec
 /**
  * Parse the operator JSON document (schema in docs/SCHEDULER.md).
  * Fatal on malformed JSON, unknown keys, duplicate job ids, or
- * out-of-range values — the operator surface fails loudly.
+ * out-of-range values — including every sessionConfigInvalidReason()
+ * rule on each job's sessionConfigFor() — so the operator surface
+ * fails loudly before anything is scheduled.
  */
 FleetSpec parseFleetSpec(const std::string &json_text);
 

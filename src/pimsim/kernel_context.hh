@@ -67,19 +67,11 @@ enum class ChargePolicy
 
 template <ChargePolicy Policy> class BasicKernelContext;
 
-/**
- * Production per-core context: ledger-batched charging, unless the
- * build sets -DSWIFTRL_REFERENCE_CHARGING (CMake option of the same
- * name) to flip the whole engine to write-through charging — a
- * diagnostic mode for bisecting charging discrepancies.
- */
-#ifdef SWIFTRL_REFERENCE_CHARGING
-using KernelContext = BasicKernelContext<ChargePolicy::Reference>;
-#else
+/** Production per-core context: ledger-batched charging. */
 using KernelContext = BasicKernelContext<ChargePolicy::Batched>;
-#endif
 
-/** Write-through context for charge-parity tests. */
+/** Write-through context: the reference the charge-parity tests
+ *  (tests/test_charge_ledger.cc) hold the ledger to. */
 using ReferenceKernelContext =
     BasicKernelContext<ChargePolicy::Reference>;
 

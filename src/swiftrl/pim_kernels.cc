@@ -1055,19 +1055,12 @@ runTrainingKernel(Ctx &ctx, const KernelParams &p)
 // The production engine drives the batched context; the parity test
 // drives the write-through reference. Instantiated here so kernel
 // code stays out of the header while callers link either flavour.
-// Named by policy, not alias: under SWIFTRL_REFERENCE_CHARGING both
-// aliases denote the Reference policy and alias-named instantiations
-// would collide.
 template void
-runTrainingKernel<pimsim::BasicKernelContext<
-    pimsim::ChargePolicy::Batched>>(
-    pimsim::BasicKernelContext<pimsim::ChargePolicy::Batched> &,
-    const KernelParams &);
+runTrainingKernel<pimsim::KernelContext>(pimsim::KernelContext &,
+                                         const KernelParams &);
 template void
-runTrainingKernel<pimsim::BasicKernelContext<
-    pimsim::ChargePolicy::Reference>>(
-    pimsim::BasicKernelContext<pimsim::ChargePolicy::Reference> &,
-    const KernelParams &);
+runTrainingKernel<pimsim::ReferenceKernelContext>(
+    pimsim::ReferenceKernelContext &, const KernelParams &);
 
 void
 runTrainingKernelBatch(pimsim::BatchKernelContext &batch,

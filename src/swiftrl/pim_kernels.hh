@@ -55,7 +55,7 @@ struct KernelParams
      * When true, the kernel counts per-(s,a) update visits in WRAM
      * and writes them to MRAM at visitsOffset after training —
      * enabling the host's visit-weighted aggregation (an extension
-     * beyond the paper; see PimTrainConfig::weightedAggregation).
+     * beyond the paper; see SessionConfig::weightedAggregation).
      */
     bool trackVisits = false;
 

@@ -28,111 +28,10 @@
 #include "rlcore/dataset.hh"
 #include "rlcore/qtable.hh"
 #include "swiftrl/qtable_io.hh"
-#include "swiftrl/retry_policy.hh"
 #include "swiftrl/session.hh"
 #include "swiftrl/time_breakdown.hh"
-#include "swiftrl/workload.hh"
 
 namespace swiftrl {
-
-namespace telemetry {
-class MetricRegistry;
-}
-
-/** Configuration for one PIM training run. */
-struct PimTrainConfig
-{
-    /** Which of the 12 workload variants to run. */
-    Workload workload;
-
-    /** Hyper-parameters; hyper.episodes is the total episode count. */
-    rlcore::Hyper hyper;
-
-    /**
-     * Synchronisation period tau: episodes between inter-core
-     * Q-table averaging rounds (paper default 50). Comm_rounds =
-     * episodes / tau.
-     */
-    int tau = 50;
-
-    /** Transitions per SEQ/STR staging block. */
-    std::size_t blockTransitions = 128;
-
-    /**
-     * Hardware threads per PIM core (paper: 1, its stated future
-     * work beyond core-level parallelism). Each tasklet trains its
-     * own sub-chunk against the core's shared Q-table; the pipeline
-     * speeds up by min(tasklets, pipelineInterval).
-     */
-    unsigned tasklets = 1;
-
-    /**
-     * Run eligible kernel launches through the lockstep batch
-     * interpreter (pimsim::BatchKernelContext +
-     * runTrainingKernelBatch) instead of interpreting the kernel once
-     * per core. Eligible means tasklets == 1 and no visit tracking
-     * (weightedAggregation); ineligible launches silently use the
-     * scalar path. Modelled results — Q-tables, cycles, op counts,
-     * DMA bytes — are bit-identical either way (a tested invariant);
-     * only host wall-clock changes. Defaults to the
-     * SWIFTRL_BATCH_EXEC build option.
-     */
-    bool batchExec =
-#ifdef SWIFTRL_BATCH_EXEC
-        true;
-#else
-        false;
-#endif
-
-    /**
-     * Fault recovery under an active PimConfig::faultPlan: bounded
-     * relaunch with modelled backoff for transient/corruption faults,
-     * chunk redistribution over the survivors for permanent dropouts.
-     * Unused (and cost-free) when the fault plan is inert.
-     */
-    RetryPolicy retry;
-
-    /**
-     * Extension beyond the paper: weight each core's Q-entries by
-     * its per-round visit counts during the synchronisation average,
-     * instead of the paper's plain mean. Entries no core visited
-     * keep their previous aggregated value. Plain averaging lets the
-     * Q = 0 of unvisited entries dilute learned values — fatal in
-     * negative-reward environments when chunks under-cover the state
-     * space (see tests/test_pim_trainer.cc's coverage
-     * characterisation); weighting fixes exactly that at the cost of
-     * one extra per-round gather of the count table.
-     */
-    bool weightedAggregation = false;
-
-    /**
-     * Per-round epsilon decay: the working epsilon is multiplied by
-     * this factor after every synchronisation round. The default 1.0
-     * keeps epsilon constant bit-exactly, reproducing the paper's
-     * fixed-epsilon training; smaller values anneal exploration as
-     * the aggregate converges. The schedule position survives
-     * checkpoint/restore.
-     */
-    float epsilonDecay = 1.0f;
-
-    /**
-     * Q-table shards (0 = unsharded, the paper's whole-table
-     * replication). See SessionConfig::shards for the full contract;
-     * offline single-table training only — trainMultiAgent refuses
-     * it. shards == 1 stays bit-identical to unsharded training.
-     */
-    std::size_t shards = 0;
-
-    /**
-     * Telemetry destination (null = off, the default). When set, the
-     * trainer attaches an EngineCollector to its command stream
-     * (per-launch instruction mix, DMA bytes, straggler histograms)
-     * and emits the rl_* training metrics documented in
-     * docs/OBSERVABILITY.md. Purely observational: results and
-     * modelled times are bit-identical with and without a registry.
-     */
-    telemetry::MetricRegistry *metrics = nullptr;
-};
 
 /** Output of a PIM training run. */
 struct PimTrainResult
@@ -186,8 +85,12 @@ struct PimTrainResult
 class PimTrainer
 {
   public:
-    /** @param system machine to run on; must outlive the trainer. */
-    PimTrainer(pimsim::PimSystem &system, PimTrainConfig config);
+    /**
+     * @param system machine to run on; must outlive the trainer.
+     * @param config offline configuration (`streaming` stays false);
+     *        fatal when sessionConfigInvalidReason() rejects it.
+     */
+    PimTrainer(pimsim::PimSystem &system, SessionConfig config);
 
     /**
      * Standard SwiftRL training: partition @p data across all cores,
@@ -232,7 +135,7 @@ class PimTrainer
         rlcore::StateId num_states, rlcore::ActionId num_actions);
 
     /** Configuration in use. */
-    const PimTrainConfig &config() const { return _config; }
+    const SessionConfig &config() const { return _config; }
 
   private:
     /** Pack + enqueue the per-core chunk scatter. */
@@ -243,9 +146,6 @@ class PimTrainer
                     pimsim::TimeBucket bucket =
                         pimsim::TimeBucket::CpuToPim,
                     std::string_view label = "scatter:dataset");
-
-    /** The session configuration this trainer's runs use. */
-    SessionConfig sessionConfig() const;
 
     /**
      * One code path for train / trainUntilRound / resume: drive a
@@ -263,7 +163,7 @@ class PimTrainer
     std::size_t dataOffset(std::size_t q_bytes) const;
 
     pimsim::PimSystem &_system;
-    PimTrainConfig _config;
+    SessionConfig _config;
 
     /**
      * Q-table transfer helper shared with the streaming trainer:

@@ -62,20 +62,6 @@ struct RetryPolicy
     }
 };
 
-/** Validate retry-policy parameters; fatal on nonsense. */
-inline void
-validate(const RetryPolicy &policy)
-{
-    if (policy.limit < 0)
-        SWIFTRL_FATAL("retry limit must be >= 0, got ", policy.limit);
-    if (policy.backoffSec < 0.0)
-        SWIFTRL_FATAL("retry backoff must be >= 0, got ",
-                      policy.backoffSec);
-    if (policy.backoffMultiplier < 1.0)
-        SWIFTRL_FATAL("backoff multiplier must be >= 1, got ",
-                      policy.backoffMultiplier);
-}
-
 /**
  * Issue a fault-eligible command until it completes or the policy is
  * exhausted. @p attempt enqueues the command once and returns its

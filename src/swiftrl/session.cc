@@ -21,33 +21,56 @@ using rlcore::NumericFormat;
 using rlcore::QTable;
 using rlcore::StateId;
 
+std::string
+sessionConfigInvalidReason(const SessionConfig &config)
+{
+    using common::detail::concat;
+    if (config.tau <= 0)
+        return concat("synchronisation period tau must be positive, "
+                      "got ", config.tau);
+    if (config.hyper.episodes <= 0)
+        return concat("episode count must be positive, got ",
+                      config.hyper.episodes);
+    if (config.hyper.stride <= 0)
+        return concat("sampling stride must be positive, got ",
+                      config.hyper.stride);
+    if (config.blockTransitions == 0)
+        return "staging block must hold at least one transition";
+    if (config.tasklets < 1 || config.tasklets > 24)
+        return concat("UPMEM DPUs support 1-24 tasklets, got ",
+                      config.tasklets);
+    if (!(config.epsilonDecay > 0.0f) || config.epsilonDecay > 1.0f)
+        return concat("epsilon decay must be in (0, 1], got ",
+                      config.epsilonDecay);
+    if (config.streaming && config.weightedAggregation)
+        return "weighted aggregation is not available in streaming "
+               "mode";
+    if (config.shards > 0 && config.streaming)
+        return "sharded Q-tables are offline-only; streaming "
+               "generations replicate the whole table";
+    if (config.shards > 0 && config.weightedAggregation)
+        return "sharded Q-tables do not support visit-weighted "
+               "aggregation";
+    const RetryPolicy &retry = config.retry;
+    if (retry.limit < 0)
+        return concat("retry limit must be >= 0, got ", retry.limit);
+    if (!(retry.backoffSec >= 0.0))
+        return concat("retry backoff must be >= 0, got ",
+                      retry.backoffSec);
+    if (!(retry.backoffMultiplier >= 1.0))
+        return concat("backoff multiplier must be >= 1, got ",
+                      retry.backoffMultiplier);
+    return "";
+}
+
 TrainerSession::TrainerSession(pimsim::PimSystem &system,
                                SessionConfig config)
     : _system(system), _config(std::move(config)),
       _qio(_config.workload, _config.hyper), _aggregated(1, 1)
 {
-    if (_config.tau <= 0)
-        SWIFTRL_FATAL("synchronisation period tau must be positive");
-    if (_config.hyper.episodes <= 0)
-        SWIFTRL_FATAL("episode count must be positive");
-    if (_config.blockTransitions == 0)
-        SWIFTRL_FATAL("staging block must hold at least one transition");
-    if (_config.tasklets < 1 || _config.tasklets > 24)
-        SWIFTRL_FATAL("UPMEM DPUs support 1-24 tasklets, got ",
-                      _config.tasklets);
-    if (!(_config.epsilonDecay > 0.0f) || _config.epsilonDecay > 1.0f)
-        SWIFTRL_FATAL("epsilon decay must be in (0, 1], got ",
-                      _config.epsilonDecay);
-    if (_config.streaming && _config.weightedAggregation)
-        SWIFTRL_FATAL("weighted aggregation is not available in "
-                      "streaming mode");
-    if (_config.shards > 0 && _config.streaming)
-        SWIFTRL_FATAL("sharded Q-tables are offline-only; streaming "
-                      "generations replicate the whole table");
-    if (_config.shards > 0 && _config.weightedAggregation)
-        SWIFTRL_FATAL("sharded Q-tables do not support visit-weighted "
-                      "aggregation");
-    validate(_config.retry);
+    const std::string reason = sessionConfigInvalidReason(_config);
+    if (!reason.empty())
+        SWIFTRL_FATAL(reason);
 }
 
 TrainerSession::~TrainerSession()

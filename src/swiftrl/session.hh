@@ -78,36 +78,68 @@ class MetricRegistry;
 class EngineCollector;
 }
 
-/** Session configuration: the trainer-agnostic training knobs. */
+/**
+ * The training configuration: one struct for every driver. PimTrainer
+ * and the fleet scheduler pass it straight to their sessions; the
+ * streaming trainer embeds it (StreamingConfig::session) next to its
+ * actor-pipeline knobs. sessionConfigInvalidReason() holds the rules.
+ */
 struct SessionConfig
 {
-    /** Workload variant the PIM side trains. */
+    /** Which of the 12 workload variants to run. */
     Workload workload;
 
     /** Hyper-parameters; hyper.episodes is the episode budget per
      *  begin/loadGeneration arming. */
     rlcore::Hyper hyper;
 
-    /** Synchronisation period tau (episodes per round). */
+    /**
+     * Synchronisation period tau: episodes between inter-core
+     * Q-table averaging rounds (paper default 50). A round trains
+     * min(tau, episodes remaining) episodes, so tau > episodes is one
+     * round of all of them.
+     */
     int tau = 50;
 
     /** Transitions per SEQ/STR staging block. */
     std::size_t blockTransitions = 128;
 
-    /** Hardware threads per PIM core. */
+    /**
+     * Hardware threads per PIM core, 1-24 (paper: 1, its stated
+     * future work beyond core-level parallelism). Each tasklet trains
+     * its own sub-chunk against the core's shared Q-table; the
+     * pipeline speeds up by min(tasklets, pipelineInterval).
+     */
     unsigned tasklets = 1;
 
-    /** Fault recovery policy (see PimTrainConfig::retry). */
+    /**
+     * Fault recovery under an active PimConfig::faultPlan: bounded
+     * relaunch with modelled backoff for transient/corruption faults,
+     * chunk redistribution over the survivors for permanent dropouts.
+     * Unused (and cost-free) when the fault plan is inert.
+     */
     RetryPolicy retry;
 
-    /** Visit-weighted aggregation (offline mode only). */
+    /**
+     * Extension beyond the paper (offline mode only): weight each
+     * core's Q-entries by its per-round visit counts during the
+     * synchronisation average, instead of the paper's plain mean.
+     * Entries no core visited keep their previous aggregated value.
+     * Plain averaging lets the Q = 0 of unvisited entries dilute
+     * learned values — fatal in negative-reward environments when
+     * chunks under-cover the state space (see
+     * tests/test_pim_trainer.cc's coverage characterisation);
+     * weighting fixes exactly that at the cost of one extra
+     * per-round gather of the count table.
+     */
     bool weightedAggregation = false;
 
     /**
-     * Per-round epsilon decay: after each round the working epsilon
-     * is multiplied by this factor. 1.0 (the default) keeps epsilon
-     * constant bit-exactly (x * 1.0f == x), so the schedule is free
-     * unless asked for. The current position is checkpointed.
+     * Per-round epsilon decay, in (0, 1]: after each round the
+     * working epsilon is multiplied by this factor. 1.0 (the default)
+     * keeps epsilon constant bit-exactly (x * 1.0f == x), reproducing
+     * the paper's fixed-epsilon training. The current position is
+     * checkpointed.
      */
     float epsilonDecay = 1.0f;
 
@@ -126,27 +158,34 @@ struct SessionConfig
      * tree (TransferModel::aggregationTreeSeconds), and push back
      * slices plus per-core remote-row halos. shards == 1 is the
      * degenerate single-shard layout and stays bit-identical to
-     * unsharded training. Offline mode only; incompatible with
-     * streaming and weightedAggregation.
+     * unsharded training. Offline single-table mode only;
+     * incompatible with streaming and weightedAggregation, and
+     * PimTrainer::trainMultiAgent refuses it.
      */
     std::size_t shards = 0;
 
     /**
      * Run eligible launches through the lockstep batch interpreter
-     * (see PimTrainConfig::batchExec). Eligible means tasklets == 1
-     * and no visit tracking (weightedAggregation); ineligible
-     * launches silently use the scalar path. Modelled results are
-     * bit-identical either way, so this is NOT checkpoint identity —
-     * a run checkpointed with one setting restores under the other.
+     * (pimsim::BatchKernelContext + runTrainingKernelBatch) instead
+     * of interpreting the kernel once per core. Eligible means
+     * tasklets == 1 and no visit tracking (weightedAggregation);
+     * ineligible launches silently use the scalar path, and false
+     * keeps every launch on it as the reference oracle. Modelled
+     * results — Q-tables, cycles, op counts, DMA bytes — are
+     * bit-identical either way (a tested invariant), so this is NOT
+     * checkpoint identity: a run checkpointed with one setting
+     * restores under the other.
      */
-    bool batchExec =
-#ifdef SWIFTRL_BATCH_EXEC
-        true;
-#else
-        false;
-#endif
+    bool batchExec = true;
 
-    /** Telemetry destination (null = off). Observation-only. */
+    /**
+     * Telemetry destination (null = off, the default). When set, the
+     * session attaches an EngineCollector to its command stream
+     * (per-launch instruction mix, DMA bytes, straggler histograms)
+     * and the drivers emit the rl_* training metrics documented in
+     * docs/OBSERVABILITY.md. Purely observational: results and
+     * modelled times are bit-identical with and without a registry.
+     */
     telemetry::MetricRegistry *metrics = nullptr;
 
     /**
@@ -157,6 +196,15 @@ struct SessionConfig
      */
     std::uint64_t traceParent = 0;
 };
+
+/**
+ * Every range and compatibility rule on a SessionConfig: empty when
+ * @p config is valid, else the human-readable reason. The session
+ * and PimTrainer constructors are fatal on a non-empty answer; the C
+ * ABI and the fleet job parser call it first so bad input is
+ * reported, not fatal mid-run.
+ */
+std::string sessionConfigInvalidReason(const SessionConfig &config);
 
 /**
  * Complete state of a paused session, version-tagged. Produced by

@@ -23,49 +23,21 @@ StreamingTrainer::StreamingTrainer(pimsim::PimSystem &system,
                                    StreamingConfig config)
     : _system(system), _config(std::move(config))
 {
-    if (_config.tau <= 0)
-        SWIFTRL_FATAL("synchronisation period tau must be positive");
-    if (_config.hyper.episodes <= 0)
-        SWIFTRL_FATAL("per-generation episode count must be positive");
+    // The session rules (tau, episodes, tasklets, ...) are checked
+    // by the TrainerSession each run builds; these are the driver's.
+    _config.session.streaming = true;
     if (_config.generations <= 0)
         SWIFTRL_FATAL("generation count must be positive");
     if (_config.transitionsPerGeneration == 0)
         SWIFTRL_FATAL("each generation must collect at least one "
                       "transition");
-    if (_config.blockTransitions == 0)
-        SWIFTRL_FATAL("staging block must hold at least one transition");
     if (_config.actors == 0)
         SWIFTRL_FATAL("actor count must be >= 1: modelled collection "
                       "time may not depend on the host machine");
-    if (_config.tasklets < 1 || _config.tasklets > 24)
-        SWIFTRL_FATAL("UPMEM DPUs support 1-24 tasklets, got ",
-                      _config.tasklets);
     if (_config.refreshPeriod < 0)
         SWIFTRL_FATAL("refresh period must be >= 0 (0 = never)");
     if (_config.collectSecPerTransition < 0.0)
         SWIFTRL_FATAL("per-transition collection cost must be >= 0");
-    if (!(_config.epsilonDecay > 0.0f) || _config.epsilonDecay > 1.0f)
-        SWIFTRL_FATAL("epsilon decay must be in (0, 1], got ",
-                      _config.epsilonDecay);
-    validate(_config.retry);
-}
-
-SessionConfig
-StreamingTrainer::sessionConfig() const
-{
-    SessionConfig cfg;
-    cfg.workload = _config.workload;
-    cfg.hyper = _config.hyper;
-    cfg.tau = _config.tau;
-    cfg.blockTransitions = _config.blockTransitions;
-    cfg.tasklets = _config.tasklets;
-    cfg.retry = _config.retry;
-    cfg.weightedAggregation = false;
-    cfg.epsilonDecay = _config.epsilonDecay;
-    cfg.streaming = true;
-    cfg.batchExec = _config.batchExec;
-    cfg.metrics = _config.metrics;
-    return cfg;
 }
 
 double
@@ -74,7 +46,7 @@ StreamingTrainer::collectDuration(std::size_t num_transitions) const
     // Mirror rlcore::collectPolicyBlocks's round-robin assignment:
     // actor t executes blocks t, t+A, t+2A, ... The generation's
     // collection slice lasts as long as the busiest actor.
-    const std::size_t block = _config.blockTransitions;
+    const std::size_t block = _config.session.blockTransitions;
     const std::size_t blocks = (num_transitions + block - 1) / block;
     const std::size_t a = std::clamp<std::size_t>(
         _config.actors, std::size_t{1}, blocks);
@@ -109,7 +81,7 @@ StreamingTrainer::runImpl(const rlcore::EnvFactory &make_env,
     // driver owns only what the session cannot see — the actor clock,
     // the behaviour policy, and the recent per-generation aggregates
     // the refresh schedule reads.
-    TrainerSession session(_system, sessionConfig());
+    TrainerSession session(_system, _config.session);
 
     // The actors start uniform-random, like the paper's collector,
     // until the first policy refresh (if any).
@@ -211,7 +183,7 @@ StreamingTrainer::runImpl(const rlcore::EnvFactory &make_env,
             g_resumed = g_begin;
             const auto blocks = rlcore::collectPolicyBlocks(
                 make_env, policy, _config.transitionsPerGeneration,
-                _config.blockTransitions,
+                _config.session.blockTransitions,
                 rlcore::deriveHostSeed(
                     _config.collectSeed,
                     static_cast<std::uint64_t>(g_resumed)),
@@ -263,7 +235,7 @@ StreamingTrainer::runImpl(const rlcore::EnvFactory &make_env,
             // --- host-side collection (functional) ------------------
             const auto blocks = rlcore::collectPolicyBlocks(
                 make_env, policy, _config.transitionsPerGeneration,
-                _config.blockTransitions,
+                _config.session.blockTransitions,
                 rlcore::deriveHostSeed(_config.collectSeed,
                                        static_cast<std::uint64_t>(g)),
                 _config.actors);
@@ -331,8 +303,8 @@ StreamingTrainer::runImpl(const rlcore::EnvFactory &make_env,
                       session.stream().liveDpuCount(), ", collect ",
                       dur, " s, modelled t ", session.stream().now(),
                       " s");
-        if (_config.metrics) {
-            auto &m = *_config.metrics;
+        if (_config.session.metrics) {
+            auto &m = *_config.session.metrics;
             // Behaviour-policy reward rate of this generation's
             // collected data: mean reward per transition.
             const auto &rewards = gen_data->rewards();
@@ -381,8 +353,8 @@ StreamingTrainer::runImpl(const rlcore::EnvFactory &make_env,
     result.transitions =
         static_cast<std::size_t>(_config.generations) *
         _config.transitionsPerGeneration;
-    if (_config.metrics) {
-        auto &m = *_config.metrics;
+    if (_config.session.metrics) {
+        auto &m = *_config.session.metrics;
         m.gauge("rl_epsilon")
             .set(static_cast<double>(session.epsilon()));
         m.counter("rl_policy_refreshes_total")

@@ -11,7 +11,7 @@
  *   pim.numDpus = 500;
  *   swiftrl::pimsim::PimSystem system(pim);
  *
- *   swiftrl::PimTrainConfig cfg;
+ *   swiftrl::SessionConfig cfg;
  *   cfg.workload = {swiftrl::rlcore::Algorithm::QLearning,
  *                   swiftrl::rlcore::Sampling::Seq,
  *                   swiftrl::rlcore::NumericFormat::Int32};

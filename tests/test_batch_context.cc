@@ -32,7 +32,7 @@
 namespace {
 
 using swiftrl::KernelParams;
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::Workload;
 using swiftrl::pimsim::BatchKernelContext;
@@ -98,7 +98,7 @@ runTrain(const Workload &w, const swiftrl::rlcore::Dataset &data,
     }
     PimSystem system(pim);
 
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = w;
     cfg.hyper.episodes = 6;
     cfg.tau = 3;
@@ -221,7 +221,7 @@ TEST_F(BatchIdentity, WeightedAggregationFallsBackToScalar)
 
     auto run = [&](bool batch) {
         PimSystem system(pim);
-        PimTrainConfig cfg;
+        SessionConfig cfg;
         cfg.workload = w;
         cfg.hyper.episodes = 6;
         cfg.tau = 3;

@@ -22,7 +22,7 @@
 namespace {
 
 using swiftrl::breakdownFromTimeline;
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::Workload;
 using swiftrl::pimsim::CommandStream;
@@ -165,7 +165,7 @@ trainLake(PimSystem &system)
 {
     swiftrl::rlenv::FrozenLake env(true);
     const auto data = collectRandomDataset(env, 1500, 21);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int32};
     cfg.hyper.episodes = 20;

@@ -116,7 +116,7 @@ TEST(CpuV2, MatchesDistributedPimAggregation)
     pim_cfg.numDpus = 3;
     pim_cfg.mramBytesPerDpu = 8u << 20;
     swiftrl::pimsim::PimSystem system(pim_cfg);
-    swiftrl::PimTrainConfig cfg;
+    swiftrl::SessionConfig cfg;
     cfg.workload = swiftrl::Workload{Algorithm::QLearning,
                                      Sampling::Seq,
                                      NumericFormat::Fp32};

@@ -15,7 +15,7 @@
 
 namespace {
 
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::PimTrainResult;
 using swiftrl::Workload;
@@ -46,10 +46,10 @@ lakeData()
     return collectRandomDataset(env, 2000, 11);
 }
 
-PimTrainConfig
+SessionConfig
 lakeConfig(NumericFormat format)
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload =
         Workload{Algorithm::QLearning, Sampling::Seq, format};
     cfg.hyper.episodes = 20;
@@ -61,7 +61,7 @@ lakeConfig(NumericFormat format)
 
 RunOutcome
 runWithPool(unsigned host_threads, const Dataset &data,
-            const PimTrainConfig &cfg)
+            const SessionConfig &cfg)
 {
     PimConfig pim;
     pim.numDpus = kCores;

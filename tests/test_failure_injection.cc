@@ -12,7 +12,7 @@
 
 namespace {
 
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::Workload;
 using swiftrl::pimsim::PimConfig;
@@ -30,7 +30,7 @@ TEST(FailureInjection, DatasetLargerThanMramIsFatal)
     pim.numDpus = 1;
     pim.mramBytesPerDpu = 4 * 1024;
     PimSystem system(pim);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.hyper.episodes = 1;
     PimTrainer trainer(system, cfg);
     EXPECT_EXIT((void)trainer.train(data, 16, 4),
@@ -49,7 +49,7 @@ TEST(FailureInjection, TaxiQTablePlusManyTaskletsOverflowsWram)
     pim.numDpus = 1;
     pim.mramBytesPerDpu = 8u << 20;
     PimSystem system(pim);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int32};
     cfg.hyper.episodes = 1;
@@ -71,7 +71,7 @@ TEST(FailureInjection, TaxiFitsWithFewerTasklets)
     pim.numDpus = 1;
     pim.mramBytesPerDpu = 8u << 20;
     PimSystem system(pim);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int32};
     cfg.hyper.episodes = 1;
@@ -105,7 +105,7 @@ TEST(FailureInjection, Int8RangeGuardTripsOnLargeRewards)
     pim.numDpus = 1;
     pim.mramBytesPerDpu = 8u << 20;
     PimSystem system(pim);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int8};
     cfg.hyper.episodes = 200;
@@ -119,7 +119,7 @@ TEST(FailureInjection, ZeroEpisodesIsFatal)
     PimConfig pim;
     pim.numDpus = 1;
     PimSystem system(pim);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.hyper.episodes = 0;
     EXPECT_EXIT(PimTrainer(system, cfg), ::testing::ExitedWithCode(1),
                 "episode count");
@@ -130,7 +130,7 @@ TEST(FailureInjection, ZeroBlockTransitionsIsFatal)
     PimConfig pim;
     pim.numDpus = 1;
     PimSystem system(pim);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.blockTransitions = 0;
     EXPECT_EXIT(PimTrainer(system, cfg), ::testing::ExitedWithCode(1),
                 "staging block");
@@ -148,10 +148,10 @@ using swiftrl::StreamingTrainer;
 using swiftrl::pimsim::FaultKind;
 using swiftrl::pimsim::ScheduledFault;
 
-PimTrainConfig
+SessionConfig
 recoveryConfig()
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Fp32};
     cfg.hyper.episodes = 20;
@@ -163,7 +163,7 @@ recoveryConfig()
 
 PimTrainResult
 runOffline(const Dataset &data, const PimConfig &pim,
-           const PimTrainConfig &cfg)
+           const SessionConfig &cfg)
 {
     PimSystem system(pim);
     return PimTrainer(system, cfg).train(data, 16, 4);
@@ -291,11 +291,11 @@ TEST(FaultRecoveryDeath, AllCoresLostIsFatal)
 TEST(FaultRecovery, StreamingFaultsDeterministicAcrossActorsAndPools)
 {
     StreamingConfig cfg;
-    cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
-                            NumericFormat::Fp32};
-    cfg.hyper.episodes = 10;
-    cfg.hyper.seed = 42;
-    cfg.tau = 5;
+    cfg.session.workload =
+        Workload{Algorithm::QLearning, Sampling::Seq, NumericFormat::Fp32};
+    cfg.session.hyper.episodes = 10;
+    cfg.session.hyper.seed = 42;
+    cfg.session.tau = 5;
     cfg.generations = 4;
     cfg.transitionsPerGeneration = 2048;
     cfg.refreshPeriod = 2;

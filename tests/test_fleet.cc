@@ -127,7 +127,7 @@ TEST(FleetSpec, ParsesFleetTenantsAndJobs)
     const auto &b = spec.jobs[1];
     EXPECT_EQ(b.minRanks, 0u);
     EXPECT_EQ(b.effectiveMinRanks(), 4u); // 0 = same as ranks
-    EXPECT_EQ(b.tau, 10);                 // clamped to episodes
+    EXPECT_EQ(b.tau, 40); // kept: a round trains min(tau, left)
     EXPECT_DOUBLE_EQ(b.arrivalSec, 0.25);
 }
 

@@ -12,7 +12,7 @@
 
 namespace {
 
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::Workload;
 using swiftrl::pimsim::PimConfig;
@@ -49,10 +49,10 @@ agentDatasets(std::size_t agents, std::size_t transitions)
     return out;
 }
 
-PimTrainConfig
+SessionConfig
 multiAgentConfig(int episodes)
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int32};
     cfg.hyper.episodes = episodes;

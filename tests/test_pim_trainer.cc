@@ -23,7 +23,7 @@
 
 namespace {
 
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::Workload;
 using swiftrl::pimsim::PimConfig;
@@ -75,7 +75,7 @@ TEST_P(SingleCoreEquivalence, BitIdenticalToReference)
     const auto [algo, sampling, format] = GetParam();
     const auto data = lakeData(400, 1);
 
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{algo, sampling, format};
     cfg.hyper = smallHyper(20);
     cfg.tau = 5;
@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PimTrainer, MultiCoreRunsAreDeterministic)
 {
     const auto data = lakeData(1000, 2);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Ran,
                             NumericFormat::Fp32};
     cfg.hyper = smallHyper(10);
@@ -121,7 +121,7 @@ TEST(PimTrainer, MultiCoreRunsAreDeterministic)
 TEST(PimTrainer, CommRoundsFollowTau)
 {
     const auto data = lakeData(500, 3);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Fp32};
     cfg.hyper = smallHyper(100);
@@ -136,7 +136,7 @@ TEST(PimTrainer, CommRoundsFollowTau)
 TEST(PimTrainer, PartialFinalRoundHandled)
 {
     const auto data = lakeData(500, 3);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Fp32};
     cfg.hyper = smallHyper(55); // 50 + 5 leftover episodes
@@ -150,7 +150,7 @@ TEST(PimTrainer, PartialFinalRoundHandled)
 TEST(PimTrainer, AllBreakdownComponentsPositive)
 {
     const auto data = lakeData(600, 4);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::Sarsa, Sampling::Str,
                             NumericFormat::Int32};
     cfg.hyper = smallHyper(10);
@@ -171,7 +171,7 @@ TEST(PimTrainer, AllBreakdownComponentsPositive)
 TEST(PimTrainer, KernelTimeShrinksWithMoreCores)
 {
     const auto data = lakeData(2048, 5);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Fp32};
     cfg.hyper = smallHyper(4);
@@ -190,7 +190,7 @@ TEST(PimTrainer, KernelTimeShrinksWithMoreCores)
 TEST(PimTrainer, Int32KernelBeatsFp32Kernel)
 {
     const auto data = lakeData(512, 6);
-    PimTrainConfig fp_cfg, int_cfg;
+    SessionConfig fp_cfg, int_cfg;
     fp_cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                                NumericFormat::Fp32};
     int_cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
@@ -211,7 +211,7 @@ TEST(PimTrainer, MultiCoreTrainingLearnsLake)
     swiftrl::rlenv::FrozenLake env(true);
     const auto data = collectRandomDataset(env, 8000, 7);
 
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int32};
     cfg.hyper = smallHyper(60);
@@ -228,7 +228,7 @@ TEST(PimTrainer, MultiCoreTrainingLearnsLake)
 TEST(PimTrainer, GatheredTablesBoundedLikeReference)
 {
     const auto data = lakeData(400, 8);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Fp32};
     cfg.hyper = smallHyper(30);
@@ -251,7 +251,7 @@ TEST(PimTrainer, FederatedAveragingNeedsPerChunkCoverage)
     swiftrl::rlenv::CliffWalking env;
     const auto data = collectRandomDataset(env, 100'000, 1);
 
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int32};
     cfg.hyper = smallHyper(40);
@@ -279,7 +279,7 @@ TEST(PimTrainer, MoreCoresThanTransitionsTrains)
     // contribute nothing; the run is legal, not fatal (the C ABI
     // relies on this — it only requires transitions >= 1).
     const auto data = lakeData(4, 9);
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.hyper = smallHyper(1);
     auto system = makeSystem(8);
     PimTrainer trainer(system, cfg);
@@ -292,7 +292,7 @@ TEST(PimTrainer, MoreCoresThanTransitionsTrains)
 
 TEST(PimTrainerDeath, InvalidTauIsFatal)
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.tau = 0;
     auto system = makeSystem(1);
     EXPECT_EXIT(PimTrainer(system, cfg), ::testing::ExitedWithCode(1),

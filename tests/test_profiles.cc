@@ -58,7 +58,7 @@ TEST(Profiles, Int32OptimisationIsProfileSpecific)
         cfg.mramBytesPerDpu = 8u << 20;
         cfg.costModel = profile.costModel;
         PimSystem system(cfg);
-        swiftrl::PimTrainConfig tcfg;
+        swiftrl::SessionConfig tcfg;
         tcfg.workload =
             swiftrl::Workload{swiftrl::rlcore::Algorithm::QLearning,
                               swiftrl::rlcore::Sampling::Seq, format};
@@ -110,7 +110,7 @@ TEST(Convergence, RoundDeltasShrink)
     PimConfig pim;
     pim.numDpus = 8;
     PimSystem system(pim);
-    swiftrl::PimTrainConfig cfg;
+    swiftrl::SessionConfig cfg;
     cfg.workload =
         swiftrl::Workload{swiftrl::rlcore::Algorithm::QLearning,
                           swiftrl::rlcore::Sampling::Seq,

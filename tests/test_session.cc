@@ -25,7 +25,7 @@
 
 namespace {
 
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::PimTrainResult;
 using swiftrl::SessionCheckpoint;
@@ -76,10 +76,10 @@ offlineData()
     return collectRandomDataset(env, 4096, 11);
 }
 
-PimTrainConfig
+SessionConfig
 offlineConfig()
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Fp32};
     cfg.hyper.episodes = 60;
@@ -89,7 +89,7 @@ offlineConfig()
 
 PimTrainResult
 runOffline(const Dataset &data, const PimConfig &pim,
-           const PimTrainConfig &cfg)
+           const SessionConfig &cfg)
 {
     PimSystem system(pim);
     return PimTrainer(system, cfg).train(data, 16, 4);
@@ -102,7 +102,7 @@ runOffline(const Dataset &data, const PimConfig &pim,
  */
 void
 checkOfflinePauseResume(const Dataset &data, const PimConfig &pim,
-                        const PimTrainConfig &cfg, int pause_round,
+                        const SessionConfig &cfg, int pause_round,
                         const std::string &tag)
 {
     SCOPED_TRACE(tag + " pause=" + std::to_string(pause_round));
@@ -236,10 +236,10 @@ StreamingConfig
 streamingConfig()
 {
     StreamingConfig cfg;
-    cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
-                            NumericFormat::Fp32};
-    cfg.hyper.episodes = 10; // 2 rounds per generation
-    cfg.tau = 5;
+    cfg.session.workload =
+        Workload{Algorithm::QLearning, Sampling::Seq, NumericFormat::Fp32};
+    cfg.session.hyper.episodes = 10; // 2 rounds per generation
+    cfg.session.tau = 5;
     cfg.generations = 4; // 8 rounds total
     cfg.transitionsPerGeneration = 1024;
     cfg.refreshPeriod = 2;
@@ -322,7 +322,7 @@ TEST(SessionStreaming, RestoreBitIdenticalAfterPolicyRefresh)
 TEST(SessionStreaming, RestoreBitIdenticalUnderFaultsAndDropout)
 {
     auto cfg = streamingConfig();
-    cfg.retry.limit = 4;
+    cfg.session.retry.limit = 4;
     for (const unsigned pool : {1u, 2u, 8u}) {
         PimConfig pim;
         pim.numDpus = 8;

@@ -23,7 +23,7 @@
 
 namespace {
 
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::PimTrainResult;
 using swiftrl::SessionCheckpoint;
@@ -44,10 +44,10 @@ expectBitEq(const QTable &a, const QTable &b)
         << QTable::maxAbsDifference(a, b) << ")";
 }
 
-PimTrainConfig
+SessionConfig
 baseConfig(NumericFormat format)
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq, format};
     cfg.hyper.episodes = 60;
     cfg.tau = 20; // 3 rounds
@@ -63,7 +63,7 @@ runLake(std::size_t cores, std::size_t shards, NumericFormat format,
     PimConfig pim;
     pim.numDpus = cores;
     PimSystem system(pim);
-    PimTrainConfig cfg = baseConfig(format);
+    SessionConfig cfg = baseConfig(format);
     cfg.hyper.episodes = episodes;
     cfg.shards = shards;
     return PimTrainer(system, cfg)
@@ -118,7 +118,7 @@ TEST(ShardedSession, ProceduralLakeTrainsSharded)
     PimConfig pim;
     pim.numDpus = 8;
     PimSystem system(pim);
-    PimTrainConfig cfg = baseConfig(NumericFormat::Fp32);
+    SessionConfig cfg = baseConfig(NumericFormat::Fp32);
     cfg.shards = 4;
     const auto r = PimTrainer(system, cfg)
                        .train(data, env->numStates(),
@@ -138,7 +138,7 @@ TEST(ShardedSession, PauseResumeContinuesBitIdentically)
     const Dataset data = collectRandomDataset(*env, 2048, 17);
     PimConfig pim;
     pim.numDpus = 8;
-    PimTrainConfig cfg = baseConfig(NumericFormat::Fp32);
+    SessionConfig cfg = baseConfig(NumericFormat::Fp32);
     cfg.shards = 2;
 
     PimTrainResult full;
@@ -174,7 +174,7 @@ TEST(ShardedSession, CheckpointShardCountIsIdentity)
     const Dataset data = collectRandomDataset(*env, 2048, 17);
     PimConfig pim;
     pim.numDpus = 8;
-    PimTrainConfig cfg = baseConfig(NumericFormat::Fp32);
+    SessionConfig cfg = baseConfig(NumericFormat::Fp32);
     cfg.shards = 2;
     PimSystem system(pim);
     const auto ck =
@@ -201,11 +201,10 @@ TEST(ShardedSessionDeath, RefusesWeightedAggregation)
     PimConfig pim;
     pim.numDpus = 4;
     PimSystem system(pim);
-    PimTrainConfig cfg = baseConfig(NumericFormat::Fp32);
+    SessionConfig cfg = baseConfig(NumericFormat::Fp32);
     cfg.shards = 2;
     cfg.weightedAggregation = true;
-    PimTrainer trainer(system, cfg);
-    EXPECT_EXIT((void)trainer.train(data, 16, 4),
+    EXPECT_EXIT((void)PimTrainer(system, cfg).train(data, 16, 4),
                 ::testing::ExitedWithCode(1), "visit-weighted");
 }
 
@@ -216,7 +215,7 @@ TEST(ShardedSessionDeath, RefusesMoreShardsThanCores)
     PimConfig pim;
     pim.numDpus = 2;
     PimSystem system(pim);
-    PimTrainConfig cfg = baseConfig(NumericFormat::Fp32);
+    SessionConfig cfg = baseConfig(NumericFormat::Fp32);
     cfg.shards = 4;
     PimTrainer trainer(system, cfg);
     EXPECT_EXIT((void)trainer.train(data, 16, 4),

@@ -106,7 +106,7 @@ TEST(StatsReport, Fp32KernelDominatedBySoftfloat)
     const auto data =
         swiftrl::rlcore::collectRandomDataset(*env, 500, 1);
     auto system = smallSystem(2);
-    swiftrl::PimTrainConfig cfg;
+    swiftrl::SessionConfig cfg;
     cfg.workload = swiftrl::Workload{
         swiftrl::rlcore::Algorithm::QLearning,
         swiftrl::rlcore::Sampling::Seq,

@@ -47,11 +47,11 @@ StreamingConfig
 lakeConfig(NumericFormat format)
 {
     StreamingConfig cfg;
-    cfg.workload =
+    cfg.session.workload =
         Workload{Algorithm::QLearning, Sampling::Seq, format};
-    cfg.hyper.episodes = 10; // per generation
-    cfg.hyper.seed = 42;
-    cfg.tau = 5;
+    cfg.session.hyper.episodes = 10; // per generation
+    cfg.session.hyper.seed = 42;
+    cfg.session.tau = 5;
     cfg.generations = 6;
     cfg.transitionsPerGeneration = 1024;
     cfg.refreshPeriod = 2;

@@ -11,7 +11,7 @@
 
 namespace {
 
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::Workload;
 using swiftrl::pimsim::PimConfig;
@@ -40,11 +40,11 @@ lakeData(std::size_t n, std::uint64_t seed)
     return collectRandomDataset(env, n, seed);
 }
 
-PimTrainConfig
+SessionConfig
 config(unsigned tasklets, int episodes = 10,
        Sampling sampling = Sampling::Seq)
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, sampling,
                             NumericFormat::Int32};
     cfg.hyper.episodes = episodes;
@@ -137,7 +137,7 @@ TEST(Tasklets, EveryWorkloadVariantRunsMultiTasklet)
     const auto data = lakeData(2000, 5);
     for (const auto &workload : swiftrl::allWorkloads()) {
         auto system = makeSystem(2);
-        PimTrainConfig cfg;
+        SessionConfig cfg;
         cfg.workload = workload;
         cfg.hyper.episodes = 2;
         cfg.tau = 2;

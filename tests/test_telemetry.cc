@@ -218,7 +218,7 @@ trainOnce(unsigned host_threads, MetricRegistry *metrics)
     pc.hostThreads = host_threads;
     pimsim::PimSystem system(pc);
 
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = {rlcore::Algorithm::QLearning,
                     rlcore::Sampling::Seq,
                     rlcore::NumericFormat::Fp32};

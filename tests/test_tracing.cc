@@ -20,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/json.hh"
@@ -30,7 +31,7 @@
 
 namespace {
 
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::PimTrainResult;
 using swiftrl::StreamingConfig;
@@ -82,10 +83,10 @@ lakeData()
     return collectRandomDataset(env, 2000, 11);
 }
 
-PimTrainConfig
+SessionConfig
 offlineConfig()
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int32};
     cfg.hyper.episodes = 20;
@@ -103,7 +104,7 @@ struct OfflineOutcome
 };
 
 OfflineOutcome
-runOffline(unsigned host_threads, bool traced)
+runOffline(unsigned host_threads, bool batch_exec, bool traced)
 {
     TracingScope scope(traced);
     PimConfig pim;
@@ -112,9 +113,10 @@ runOffline(unsigned host_threads, bool traced)
     pim.hostThreads = host_threads;
     PimSystem system(pim);
 
+    SessionConfig cfg = offlineConfig();
+    cfg.batchExec = batch_exec;
     OfflineOutcome out;
-    out.result =
-        PimTrainer(system, offlineConfig()).train(lakeData(), 16, 4);
+    out.result = PimTrainer(system, cfg).train(lakeData(), 16, 4);
     out.maxCycles = system.maxCycles();
     out.totalCycles = system.totalCycles();
     return out;
@@ -125,11 +127,11 @@ runStreaming(unsigned host_threads, bool traced)
 {
     TracingScope scope(traced);
     StreamingConfig cfg;
-    cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
-                            NumericFormat::Int32};
-    cfg.hyper.episodes = 10;
-    cfg.hyper.seed = 42;
-    cfg.tau = 5;
+    cfg.session.workload =
+        Workload{Algorithm::QLearning, Sampling::Seq, NumericFormat::Int32};
+    cfg.session.hyper.episodes = 10;
+    cfg.session.hyper.seed = 42;
+    cfg.session.tau = 5;
     cfg.generations = 4;
     cfg.transitionsPerGeneration = 1024;
     cfg.refreshPeriod = 2;
@@ -163,16 +165,17 @@ expectIdenticalTimelines(const swiftrl::pimsim::Timeline &a,
     }
 }
 
+/** (host-pool size, batch engine): both engines are traced. */
 class TracedOfflineIdentity
-    : public ::testing::TestWithParam<unsigned>
+    : public ::testing::TestWithParam<std::tuple<unsigned, bool>>
 {
 };
 
 TEST_P(TracedOfflineIdentity, TracedRunBitIdenticalToUntraced)
 {
-    const unsigned pool = GetParam();
-    const auto plain = runOffline(pool, false);
-    const auto traced = runOffline(pool, true);
+    const auto [pool, batch] = GetParam();
+    const auto plain = runOffline(pool, batch, false);
+    const auto traced = runOffline(pool, batch, true);
 
     EXPECT_EQ(QTable::maxAbsDifference(plain.result.finalQ,
                                        traced.result.finalQ),
@@ -191,8 +194,10 @@ TEST_P(TracedOfflineIdentity, TracedRunBitIdenticalToUntraced)
                              traced.result.timeline);
 }
 
-INSTANTIATE_TEST_SUITE_P(PoolSizes, TracedOfflineIdentity,
-                         ::testing::Values(1u, 2u, 8u));
+INSTANTIATE_TEST_SUITE_P(
+    PoolSizes, TracedOfflineIdentity,
+    ::testing::Combine(::testing::Values(1u, 2u, 8u),
+                       ::testing::Bool()));
 
 class TracedStreamingIdentity
     : public ::testing::TestWithParam<unsigned>

@@ -11,7 +11,7 @@
 
 namespace {
 
-using swiftrl::PimTrainConfig;
+using swiftrl::SessionConfig;
 using swiftrl::PimTrainer;
 using swiftrl::Workload;
 using swiftrl::pimsim::PimConfig;
@@ -27,10 +27,10 @@ makeSystem(std::size_t dpus)
     return PimSystem(cfg);
 }
 
-PimTrainConfig
+SessionConfig
 config(bool weighted, int episodes, int tau)
 {
-    PimTrainConfig cfg;
+    SessionConfig cfg;
     cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
                             NumericFormat::Int32};
     cfg.hyper.episodes = episodes;
