@@ -147,9 +147,15 @@ class CommandStream
                          std::string_view label = "broadcast");
 
     /**
-     * Gather @p bytes from every core's MRAM at @p offset into
-     * @p out (resized to one payload per core; dropped cores'
-     * entries stay zero-filled — filter with isDead()).
+     * Gather @p bytes from every core's MRAM at @p offset: @p out
+     * gets one read-only view per core into its bank (no copy);
+     * dropped cores get an empty view — filter with isDead().
+     *
+     * The views alias the banks: read them before the next command
+     * that writes MRAM (push, poke, launch). A range past the bytes
+     * a bank holds reads as zero by growing, and so moving, that
+     * bank, which invalidates every earlier view of it: keep views
+     * across gathers only when every bank already holds each range.
      *
      * A fault site. While the fault plan is active every received
      * chunk is checksum-verified (charged to the Recovery track);
@@ -158,7 +164,7 @@ class CommandStream
      * a retry re-reads them cleanly.
      */
     CommandStatus gather(std::size_t offset, std::size_t bytes,
-                         std::vector<std::vector<std::uint8_t>> &out,
+                         std::vector<std::span<const std::uint8_t>> &out,
                          TimeBucket bucket = TimeBucket::PimToCpu,
                          std::string_view label = "gather");
 
@@ -436,6 +442,9 @@ class CommandStream
 
     /** Live-lane cohort of the current batch launch (reused). */
     std::vector<std::size_t> _cohortScratch;
+
+    /** Received copy of a fated gather chunk (reused). */
+    std::vector<std::uint8_t> _wireScratch;
 };
 
 } // namespace swiftrl::pimsim

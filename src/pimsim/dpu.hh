@@ -55,8 +55,8 @@ class Dpu
      * ranges read as zero exactly like mramRead. The pointer stays
      * valid until a write past the current buffer end triggers
      * growth; callers that interleave writes must re-acquire. Fatal
-     * past the bank capacity. Used by the batch interpreter to avoid
-     * staging copies of the read-only transition region.
+     * past the bank capacity. Used by the batch interpreter and by
+     * CommandStream::gather to avoid staging copies.
      */
     const std::uint8_t *
     mramView(std::size_t offset, std::size_t bytes)

@@ -146,7 +146,7 @@ class PimSystem
 
     /**
      * Gather @p bytes from every core's MRAM at @p offset into
-     * @p out (resized to numDpus() payloads).
+     * @p out (numDpus() owned copies; dropped cores' zero-filled).
      *
      * The blocking wrapper has no recovery path: if the default
      * stream reports a fault it dies loudly. Fault-tolerant code

@@ -252,9 +252,17 @@ PimTrainer::trainMultiAgent(const std::vector<Dataset> &agent_data,
                           "redistributed");
         });
 
-    result.perCore = _qio.gatherQTables(
-        stream, num_states, num_actions, TimeBucket::PimToCpu,
-        &_config.retry);
+    std::vector<std::span<const std::uint8_t>> wire;
+    _qio.gatherWire(stream, static_cast<std::size_t>(num_states) *
+                                static_cast<std::size_t>(num_actions),
+                    wire, TimeBucket::PimToCpu, "gather:q",
+                    &_config.retry);
+    result.perCore.reserve(n);
+    for (const auto &core_wire : wire) {
+        QTable table(num_states, num_actions);
+        _qio.decodeWire(core_wire, table.values());
+        result.perCore.push_back(std::move(table));
+    }
     // finalQ kept as the average for convenience (diagnostics only;
     // each agent deploys its own table).
     result.finalQ = QTable::average(result.perCore);

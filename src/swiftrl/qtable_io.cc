@@ -1,5 +1,6 @@
 #include "swiftrl/qtable_io.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "pimsim/pim_system.hh"
@@ -55,16 +56,12 @@ QTableIo::initQTables(pimsim::CommandStream &stream, StateId ns,
                          "broadcast:qinit");
 }
 
-std::vector<QTable>
-QTableIo::gatherQTables(pimsim::CommandStream &stream, StateId ns,
-                        ActionId na, TimeBucket bucket,
-                        const RetryPolicy *retry) const
+void
+QTableIo::gatherWire(pimsim::CommandStream &stream, std::size_t entries,
+                     std::vector<std::span<const std::uint8_t>> &views,
+                     TimeBucket bucket, std::string_view label,
+                     const RetryPolicy *retry) const
 {
-    const std::size_t entries = static_cast<std::size_t>(ns) *
-                                static_cast<std::size_t>(na);
-    const std::size_t q_bytes =
-        entries * rlcore::kQWireBytesPerEntry;
-    std::vector<std::vector<std::uint8_t>> raw;
     // INT32 kernels descale their tables to FP32 on-core before the
     // transfer (Sec. 4.2); the conversion runs in parallel on all
     // cores, so it costs one per-core table pass. Charged once even
@@ -77,37 +74,49 @@ QTableIo::gatherQTables(pimsim::CommandStream &stream, StateId ns,
     // No policy = no recovery: a single fault is then fatal.
     static constexpr RetryPolicy kNoRetries{.limit = 0};
     runWithRecovery(
-        stream, retry ? *retry : kNoRetries, "gather:q",
+        stream, retry ? *retry : kNoRetries, label,
         [&] {
-            return stream.gather(qOffset(), q_bytes, raw, bucket,
-                                 "gather:q");
+            return stream.gather(qOffset(),
+                                 entries * rlcore::kQWireBytesPerEntry,
+                                 views, bucket, label);
         },
         [](const pimsim::CommandError &) {
             SWIFTRL_PANIC("gathers cannot drop cores");
         });
+}
 
-    std::vector<QTable> tables;
-    tables.reserve(raw.size());
-    for (const auto &bytes : raw) {
-        QTable t(ns, na);
-        if (_workload.format == NumericFormat::Fp32) {
-            std::memcpy(t.values().data(), bytes.data(), q_bytes);
-        } else {
-            // Functional descale in double precision: exact for every
-            // raw value below 2^53, so a 1-core run roundtrips
-            // bit-perfectly (the modelled cost above is what the
-            // on-core float conversion would take).
-            const auto *fixed =
-                reinterpret_cast<const std::int32_t *>(bytes.data());
-            for (std::size_t i = 0; i < entries; ++i) {
-                t.values()[i] = static_cast<float>(
-                    static_cast<double>(fixed[i]) /
-                    static_cast<double>(fixedScale()));
-            }
-        }
-        tables.push_back(std::move(t));
+void
+QTableIo::accumulateWire(std::span<const std::uint8_t> wire,
+                         std::span<float> sum) const
+{
+    SWIFTRL_ASSERT(wire.size() ==
+                       sum.size() * rlcore::kQWireBytesPerEntry,
+                   "Q wire size mismatch");
+    const std::size_t entries = sum.size();
+    if (_workload.format == NumericFormat::Fp32) {
+        const auto *values =
+            reinterpret_cast<const float *>(wire.data());
+        for (std::size_t i = 0; i < entries; ++i)
+            sum[i] += values[i];
+        return;
     }
-    return tables;
+    // The functional descale (the modelled cost is what the on-core
+    // float conversion would take): the correctly rounded quotient,
+    // the same expression as QTable::fromFixed.
+    const auto *fixed =
+        reinterpret_cast<const std::int32_t *>(wire.data());
+    const double scale = static_cast<double>(fixedScale());
+    for (std::size_t i = 0; i < entries; ++i)
+        sum[i] +=
+            static_cast<float>(static_cast<double>(fixed[i]) / scale);
+}
+
+void
+QTableIo::decodeWire(std::span<const std::uint8_t> wire,
+                     std::span<float> out) const
+{
+    std::fill(out.begin(), out.end(), -0.0f);
+    accumulateWire(wire, out);
 }
 
 std::vector<std::uint8_t>

@@ -16,6 +16,7 @@
 #define SWIFTRL_SWIFTRL_QTABLE_IO_HH
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -73,20 +74,38 @@ class QTableIo
                      rlcore::ActionId num_actions) const;
 
     /**
-     * Gather all per-core Q-tables (functional + timing), including
-     * the on-core descale-to-FP32 step, charged to @p bucket.
-     * Dropped cores' tables come back zero-filled — filter with
-     * CommandStream::isDead before aggregating.
+     * Gather the first @p entries Q wire entries of every core into
+     * @p views (CommandStream::gather views: no copy, empty for
+     * dropped cores), including the on-core descale-to-FP32 step,
+     * charged to @p bucket.
      *
      * A corrupted gather is retried under @p retry (the on-core
      * conversion is *not* redone — the converted table still sits in
      * the bank, only the wire transfer failed). With no policy, or
      * once its limit is exhausted, the run dies loudly.
      */
-    std::vector<rlcore::QTable> gatherQTables(
-        pimsim::CommandStream &stream, rlcore::StateId num_states,
-        rlcore::ActionId num_actions, pimsim::TimeBucket bucket,
-        const RetryPolicy *retry = nullptr) const;
+    void gatherWire(pimsim::CommandStream &stream, std::size_t entries,
+                    std::vector<std::span<const std::uint8_t>> &views,
+                    pimsim::TimeBucket bucket, std::string_view label,
+                    const RetryPolicy *retry = nullptr) const;
+
+    /**
+     * Decode one Q wire image of sum.size() entries (FP32 as is,
+     * fixed point descaled in double precision, as in
+     * QTable::fromFixed) and add it entry-wise into @p sum. Summing
+     * the live cores in ascending order into zeros and scaling once
+     * by 1/live is QTable::average bit for bit.
+     */
+    void accumulateWire(std::span<const std::uint8_t> wire,
+                        std::span<float> sum) const;
+
+    /**
+     * Decode one Q wire image into @p out, bit for bit: accumulates
+     * into -0.0f, the exact identity of IEEE addition (signed zeros
+     * included).
+     */
+    void decodeWire(std::span<const std::uint8_t> wire,
+                    std::span<float> out) const;
 
     /**
      * Broadcast one Q-table to every core's MRAM Q region, including

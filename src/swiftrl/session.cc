@@ -66,7 +66,8 @@ sessionConfigInvalidReason(const SessionConfig &config)
 TrainerSession::TrainerSession(pimsim::PimSystem &system,
                                SessionConfig config)
     : _system(system), _config(std::move(config)),
-      _qio(_config.workload, _config.hyper), _aggregated(1, 1)
+      _qio(_config.workload, _config.hyper), _aggregated(1, 1),
+      _previous(1, 1)
 {
     const std::string reason = sessionConfigInvalidReason(_config);
     if (!reason.empty())
@@ -130,6 +131,12 @@ TrainerSession::start(StateId num_states, ActionId num_actions)
             *_config.metrics, _system);
         _stream->setObserver(_collector.get());
     }
+    // A weighted round keeps its Q views across the count gather, so
+    // every bank must hold the count region before it (an empty-chunk
+    // core never writes it; zero is its weight). Untimed.
+    if (_config.weightedAggregation)
+        _stream->pokeBroadcast(_visitsOffset,
+                               std::vector<std::uint8_t>(q_bytes, 0));
 
     const std::size_t n = _system.numDpus();
     _firsts.assign(n, 0);
@@ -142,6 +149,15 @@ TrainerSession::start(StateId num_states, ActionId num_actions)
     _lcgStates.resize(streams);
     for (std::size_t i = 0; i < streams; ++i)
         _lcgStates[i] = rlcore::deriveLcgSeed(_config.hyper.seed, i);
+
+    // An unsharded table synchronises as the one-shard case: one
+    // replica group of every core over every row. Sharded sessions
+    // build their real plan in setupShardLayout().
+    if (!shardedMode()) {
+        _plan = std::make_unique<ShardPlan>(
+            makeShardPlan(num_states, 1, n));
+        _sliceEntries = _entries;
+    }
 
     _aggregated = QTable(num_states, num_actions);
     _epsilonNow = _config.hyper.epsilon;
@@ -422,65 +438,89 @@ TrainerSession::pushShardHalos(TimeBucket bucket,
 }
 
 std::size_t
-TrainerSession::shardedAggregate()
+TrainerSession::averageAggregate()
 {
-    // On-core descale of each slice before the wire transfer, as in
-    // the unsharded gather but over slice entries only.
-    const double convert =
-        _qio.conversionSeconds(*_stream, _sliceEntries,
-                               /*to_float=*/true);
-    if (convert > 0.0)
-        _stream->onCoreCompute(convert, TimeBucket::InterCore,
-                               "convert:descale");
-    std::vector<std::vector<std::uint8_t>> raw;
-    runWithRecovery(
-        *_stream, _config.retry, "gather:slices",
-        [&] {
-            return _stream->gather(
-                _qio.qOffset(),
-                _sliceEntries * rlcore::kQWireBytesPerEntry, raw,
-                TimeBucket::InterCore, "gather:slices");
-        },
-        [](const pimsim::CommandError &) {
-            SWIFTRL_PANIC("gathers cannot drop cores");
-        });
-
-    const bool fp32 = _config.workload.format == NumericFormat::Fp32;
-    const std::int32_t scale = _qio.fixedScale();
+    // One gather of every core's slice (the whole table when
+    // unsharded), viewed in place.
+    _qio.gatherWire(*_stream, _sliceEntries, _wire,
+                    TimeBucket::InterCore,
+                    shardedMode() ? "gather:slices" : "gather:q",
+                    &_config.retry);
     const std::size_t row_entries =
         static_cast<std::size_t>(_numActions);
+    _sum.resize(_sliceEntries);
     std::size_t deepest = 0;
     for (std::size_t s = 0; s < _plan->map.numShards(); ++s) {
         // Sum the live replica slices in ascending core order, then
         // scale once by 1/liveCount — the exact op order of
-        // QTable::average, so a one-shard run aggregates
-        // bit-identically to the unsharded path.
-        std::vector<float> sum(_sliceEntries, 0.0f);
+        // QTable::average. Dropped cores' empty views are skipped.
+        std::fill(_sum.begin(), _sum.end(), 0.0f);
         std::size_t live = 0;
         for (const std::size_t core : _plan->coresOfShard[s]) {
             if (_stream->isDead(core))
                 continue;
-            const auto decoded = decodeSliceWire(
-                raw[core], _sliceEntries, fp32, scale);
-            for (std::size_t i = 0; i < _sliceEntries; ++i)
-                sum[i] += decoded[i];
+            _qio.accumulateWire(_wire[core], _sum);
             ++live;
         }
         SWIFTRL_ASSERT(live > 0, "shard ", s,
                        " has no live replica to aggregate");
         const float inv = 1.0f / static_cast<float>(live);
-        for (float &v : sum)
+        for (float &v : _sum)
             v *= inv;
         deepest = std::max(deepest, live);
         // Only the real (un-padded) rows flow back to the aggregate.
         const StateId base = _plan->map.firstState(s);
         const StateId owned = _plan->map.ownedRows(s);
-        std::copy_n(sum.begin(),
+        std::copy_n(_sum.begin(),
                     static_cast<std::size_t>(owned) * row_entries,
                     _aggregated.values().begin() +
                         static_cast<std::size_t>(base) * row_entries);
     }
     return deepest;
+}
+
+void
+TrainerSession::weightedAggregate()
+{
+    _qio.gatherWire(*_stream, _entries, _wire, TimeBucket::InterCore,
+                    "gather:q", &_config.retry);
+    // Extra gather of the per-core visit counts. start() wrote the
+    // region in every bank, so no bank moves under the Q views.
+    runWithRecovery(
+        *_stream, _config.retry, "gather:visits",
+        [&] {
+            return _stream->gather(
+                _visitsOffset, _entries * rlcore::kQWireBytesPerEntry,
+                _visitWire, TimeBucket::InterCore, "gather:visits");
+        },
+        [](const pimsim::CommandError &) {
+            SWIFTRL_PANIC("gathers cannot drop cores");
+        });
+
+    // Count-weighted mean, falling back to the previous aggregate
+    // for entries no core visited this round. A dropped core has no
+    // weight (its zero terms leave both sums unchanged): skipped.
+    _numerator.assign(_entries, 0.0);
+    _denominator.assign(_entries, 0.0);
+    _sum.resize(_entries);
+    for (std::size_t core = 0; core < _wire.size(); ++core) {
+        if (_stream->isDead(core))
+            continue;
+        _qio.decodeWire(_wire[core], _sum);
+        const auto *counts = reinterpret_cast<const std::uint32_t *>(
+            _visitWire[core].data());
+        for (std::size_t i = 0; i < _entries; ++i) {
+            const double w = counts[i];
+            _numerator[i] += w * static_cast<double>(_sum[i]);
+            _denominator[i] += w;
+        }
+    }
+    for (std::size_t i = 0; i < _entries; ++i) {
+        _aggregated.values()[i] =
+            _denominator[i] > 0.0
+                ? static_cast<float>(_numerator[i] / _denominator[i])
+                : _previous.values()[i];
+    }
 }
 
 void
@@ -615,48 +655,14 @@ TrainerSession::step()
         },
         [&](const pimsim::CommandError &) { redistribute(); });
 
-    const QTable previous = _aggregated;
+    _previous = _aggregated;
     std::size_t deepest_group = 0;
-    if (shardedMode()) {
-        deepest_group = shardedAggregate();
-    } else {
-        auto tables = _qio.gatherQTables(*_stream, _numStates,
-                                         _numActions,
-                                         TimeBucket::InterCore,
-                                         &_config.retry);
-        if (_config.weightedAggregation) {
-            // Extra gather of the per-core visit counts, then a
-            // count-weighted mean with fallback to the previous
-            // aggregate for entries no core visited this round.
-            // Dropped cores come back zero-filled with zero counts,
-            // so they carry no weight.
-            std::vector<std::vector<std::uint8_t>> raw_counts;
-            runWithRecovery(
-                *_stream, _config.retry, "gather:visits",
-                [&] {
-                    return _stream->gather(
-                        _visitsOffset,
-                        _entries * rlcore::kQWireBytesPerEntry,
-                        raw_counts, TimeBucket::InterCore,
-                        "gather:visits");
-                },
-                [](const pimsim::CommandError &) {
-                    SWIFTRL_PANIC("gathers cannot drop cores");
-                });
-            _aggregated = weightedAverage(tables, raw_counts, previous);
-        } else {
-            // Plain mean over the *surviving* cores only; a dropped
-            // core's zero-filled placeholder must not dilute it.
-            std::vector<QTable> live_tables;
-            live_tables.reserve(_stream->liveDpuCount());
-            for (std::size_t i = 0; i < tables.size(); ++i) {
-                if (!_stream->isDead(i))
-                    live_tables.push_back(std::move(tables[i]));
-            }
-            _aggregated = QTable::average(live_tables);
-        }
-    }
-    const float delta = QTable::maxAbsDifference(_aggregated, previous);
+    if (_config.weightedAggregation)
+        weightedAggregate();
+    else
+        deepest_group = averageAggregate();
+    const float delta =
+        QTable::maxAbsDifference(_aggregated, _previous);
     if (!_config.streaming)
         _roundDeltas.push_back(delta);
     if (shardedMode()) {
@@ -734,15 +740,13 @@ TrainerSession::finishRetrieval()
     // every core holds the aggregated table, so the deployed policy
     // is that aggregate; the gather is still paid for — timing-only,
     // as the host provably holds the payload already.
-    const std::size_t gather_entries =
-        shardedMode() ? _sliceEntries : _entries;
     const double convert = _qio.conversionSeconds(
-        *_stream, gather_entries, /*to_float=*/true);
+        *_stream, _sliceEntries, /*to_float=*/true);
     if (convert > 0.0)
         _stream->onCoreCompute(convert, TimeBucket::PimToCpu,
                                "convert:descale");
     _stream->gatherTimed(_qio.qOffset(),
-                         gather_entries * rlcore::kQWireBytesPerEntry,
+                         _sliceEntries * rlcore::kQWireBytesPerEntry,
                          TimeBucket::PimToCpu, "gather:final");
     if (_traceSpan.active()) {
         auto span = telemetry::tracer().begin(
@@ -756,40 +760,6 @@ TrainerSession::finishRetrieval()
         _traceSpan.finish(_stream->now());
     }
     _state = SessionState::Done;
-}
-
-QTable
-TrainerSession::weightedAverage(
-    const std::vector<QTable> &tables,
-    const std::vector<std::vector<std::uint8_t>> &raw_counts,
-    const QTable &previous) const
-{
-    SWIFTRL_ASSERT(tables.size() == raw_counts.size(),
-                   "one count table per Q-table required");
-    QTable out(previous.numStates(), previous.numActions());
-    const std::size_t entries = out.entryCount();
-    std::vector<double> numerator(entries, 0.0);
-    std::vector<double> denominator(entries, 0.0);
-
-    for (std::size_t core = 0; core < tables.size(); ++core) {
-        SWIFTRL_ASSERT(raw_counts[core].size() == entries * 4,
-                       "count table size mismatch");
-        const auto *counts = reinterpret_cast<const std::uint32_t *>(
-            raw_counts[core].data());
-        for (std::size_t i = 0; i < entries; ++i) {
-            const double w = counts[i];
-            numerator[i] +=
-                w * static_cast<double>(tables[core].values()[i]);
-            denominator[i] += w;
-        }
-    }
-    for (std::size_t i = 0; i < entries; ++i) {
-        out.values()[i] =
-            denominator[i] > 0.0
-                ? static_cast<float>(numerator[i] / denominator[i])
-                : previous.values()[i];
-    }
-    return out;
 }
 
 TimeBreakdown
@@ -940,8 +910,7 @@ TrainerSession::adopt(const SessionCheckpoint &ck)
         _stream->pokeBroadcast(_qio.qOffset(), wire);
     }
     // The visit-count region (weighted aggregation) needs no restore:
-    // the kernel overwrites it wholesale on every launch before the
-    // per-round gather reads it.
+    // start() zeroed it, and every non-empty launch rewrites it.
 
     openRunSpan("restore");
     auto span = telemetry::tracer().begin(
@@ -1068,8 +1037,9 @@ class ByteReader
             SWIFTRL_FATAL("checkpoint ", _path,
                           " truncated mid-array");
         std::vector<T> v(count);
-        std::memcpy(v.data(), _bytes.data() + _pos,
-                    count * sizeof(T));
+        if (count > 0)
+            std::memcpy(v.data(), _bytes.data() + _pos,
+                        count * sizeof(T));
         _pos += count * sizeof(T);
         return v;
     }

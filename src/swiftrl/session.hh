@@ -534,8 +534,8 @@ class TrainerSession
      *  aggregate rebroadcast. */
     void redistribute();
 
-    /** True once the session runs with a shard plan. */
-    bool shardedMode() const { return _plan != nullptr; }
+    /** True for a sharded session (SessionConfig::shards > 0). */
+    bool shardedMode() const { return _config.shards > 0; }
 
     /**
      * Build the sharded layout for the armed dataset: plan, routing,
@@ -569,17 +569,16 @@ class TrainerSession
                         std::string_view label, bool poke);
 
     /**
-     * Sharded gather + per-shard-group slice averaging into
-     * _aggregated. Returns the largest live replica group (the
-     * aggregation tree's depth driver).
+     * Gather + per-replica-group averaging into _aggregated, the one
+     * path for sharded and unsharded (one-group) runs. Returns the
+     * largest live replica group, which sets the aggregation tree's
+     * depth.
      */
-    std::size_t shardedAggregate();
+    std::size_t averageAggregate();
 
-    /** Visit-count-weighted mean (offline weighted aggregation). */
-    rlcore::QTable weightedAverage(
-        const std::vector<rlcore::QTable> &tables,
-        const std::vector<std::vector<std::uint8_t>> &raw_counts,
-        const rlcore::QTable &previous) const;
+    /** Gather Q and visit counts + visit-count-weighted mean into
+     *  _aggregated (offline weighted aggregation). */
+    void weightedAggregate();
 
     /** Shared restore work: identity check + engine + learner. */
     void adopt(const SessionCheckpoint &ck);
@@ -608,15 +607,28 @@ class TrainerSession
     std::vector<std::uint32_t> _lcgStates;
     rlcore::QTable _aggregated;
 
-    /** Sharded-mode state (null/empty when unsharded). The plan and
-     *  routing are pure functions of (shape, shards, numDpus, data),
-     *  so none of this is checkpointed — restore re-derives it. */
+    /** Sync-round buffers, reused across rounds: the round's
+     *  starting aggregate, the gathered views, the group sum and the
+     *  weighted mean's numerator and denominator. */
+    rlcore::QTable _previous;
+    std::vector<std::span<const std::uint8_t>> _wire;
+    std::vector<std::span<const std::uint8_t>> _visitWire;
+    std::vector<float> _sum;
+    std::vector<double> _numerator;
+    std::vector<double> _denominator;
+
+    /** Replica groups and the Q entries each core holds: the
+     *  configured shards, or one group of every core over the whole
+     *  table. With the sharded state below, a pure function of
+     *  (shape, shards, numDpus, data): restore re-derives it. */
     std::unique_ptr<ShardPlan> _plan;
+    std::size_t _sliceEntries = 0;
+
+    /** Sharded-mode state (empty when unsharded). */
     ShardRouting _routing;
     std::vector<std::vector<rlcore::StateId>> _haloStates;
     std::vector<std::size_t> _haloRows;
     std::size_t _sliceRows = 0;
-    std::size_t _sliceEntries = 0;
     std::size_t _haloOffset = 0;
 
     int _episodesRemaining = 0;

@@ -7,6 +7,9 @@
  *    non-overlapping intervals whose durations sum to sync();
  *  - the timing-only gather charges exactly what the functional one
  *    does (and validates the range the same way);
+ *  - the functional gather hands out read-only views into the banks
+ *    (empty for dropped cores), discards them on a corrupt transfer,
+ *    and re-reads cleanly on retry;
  *  - the trainer's reported TimeBreakdown is derived from — and hence
  *    always agrees with — its result timeline;
  *  - the exported Chrome trace JSON holds one "X" slice per command,
@@ -52,6 +55,13 @@ pattern(std::size_t n, std::uint8_t base)
     for (std::size_t i = 0; i < n; ++i)
         v[i] = static_cast<std::uint8_t>(base + i);
     return v;
+}
+
+/** Owned copy of a gathered view, for value comparisons. */
+std::vector<std::uint8_t>
+bytesOf(std::span<const std::uint8_t> view)
+{
+    return {view.begin(), view.end()};
 }
 
 TEST(CommandStream, BlockingWrapperRecordsContiguousTimeline)
@@ -112,14 +122,14 @@ TEST(CommandStream, TimedGatherChargesExactlyTheFunctionalCost)
     const auto payload = pattern(512, 7);
     stream.pushBroadcast(0, payload);
 
-    std::vector<std::vector<std::uint8_t>> out;
+    std::vector<std::span<const std::uint8_t>> out;
     const auto status = stream.gather(0, payload.size(), out);
     ASSERT_TRUE(status.ok());
     const double functional = status.seconds;
     const double timed = stream.gatherTimed(0, payload.size());
     EXPECT_EQ(timed, functional);
     ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[0], payload);
+    EXPECT_EQ(bytesOf(out[0]), payload);
 
     // Both gathers were recorded as events on the same track.
     EXPECT_EQ(stream.timeline().size(), 3u);
@@ -140,9 +150,9 @@ TEST(CommandStream, StreamsOnOneSystemKeepIndependentClocks)
     EXPECT_TRUE(b.timeline().empty());
 
     // Functional state is shared: stream b reads what a wrote.
-    std::vector<std::vector<std::uint8_t>> out;
+    std::vector<std::span<const std::uint8_t>> out;
     b.gather(0, payload.size(), out);
-    EXPECT_EQ(out[1], payload);
+    EXPECT_EQ(bytesOf(out[1]), payload);
 }
 
 TEST(CommandStream, HostReduceAndOnCoreComputeAdvanceTheClock)
@@ -331,6 +341,148 @@ TEST(CommandStream, TraceEscapesLabelsLosslessly)
     ASSERT_EQ(names.size(), labels.size());
     for (std::size_t i = 0; i < labels.size(); ++i)
         EXPECT_EQ(names[i], labels[i]) << "label " << i;
+}
+
+// --- the view-returning gather --------------------------------------
+
+TEST(CommandStreamGather, ViewsAliasTheBankBytes)
+{
+    auto system = makeSystem(3);
+    CommandStream stream(system);
+    std::vector<std::vector<std::uint8_t>> payloads;
+    std::vector<std::span<const std::uint8_t>> chunks;
+    for (std::size_t i = 0; i < 3; ++i)
+        payloads.push_back(
+            pattern(96, static_cast<std::uint8_t>(40 * i)));
+    for (const auto &p : payloads)
+        chunks.emplace_back(p);
+    stream.pushChunks(64, chunks);
+
+    std::vector<std::span<const std::uint8_t>> out;
+    ASSERT_TRUE(stream.gather(64, 96, out).ok());
+    ASSERT_EQ(out.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(bytesOf(out[i]), payloads[i]) << "core " << i;
+
+    // In place, not a copy: a later write inside the written extent
+    // shows through the views (which is why callers read them
+    // before the next MRAM-writing command).
+    const auto overwrite = pattern(96, 200);
+    stream.pokeBroadcast(64, overwrite);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(bytesOf(out[i]), overwrite) << "core " << i;
+}
+
+TEST(CommandStreamGather, NeverWrittenRangeReadsAsZeros)
+{
+    auto system = makeSystem(2);
+    CommandStream stream(system);
+    std::vector<std::span<const std::uint8_t>> out;
+    ASSERT_TRUE(stream.gather(4096, 128, out).ok());
+    ASSERT_EQ(out.size(), 2u);
+    for (const auto &view : out)
+        EXPECT_EQ(bytesOf(view), std::vector<std::uint8_t>(128, 0));
+}
+
+TEST(CommandStreamGather, DeadCoreGetsAnEmptyView)
+{
+    PimConfig cfg;
+    cfg.numDpus = 3;
+    cfg.mramBytesPerDpu = 1u << 20;
+    cfg.faultPlan.scheduled = {
+        {swiftrl::pimsim::FaultKind::PermanentDropout, /*site=*/0,
+         /*dpu=*/1}};
+    PimSystem system(cfg);
+    CommandStream &stream = system.defaultStream();
+    const auto payload = pattern(32, 9);
+    stream.pushBroadcast(0, payload);
+    const auto launched = stream.launch(
+        [](swiftrl::pimsim::KernelContext &ctx) { ctx.aluOps(1); });
+    ASSERT_FALSE(launched.ok());
+    ASSERT_TRUE(stream.isDead(1));
+
+    std::vector<std::span<const std::uint8_t>> out;
+    ASSERT_TRUE(stream.gather(0, payload.size(), out).ok());
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_TRUE(out[1].empty());
+    EXPECT_EQ(bytesOf(out[0]), payload);
+    EXPECT_EQ(bytesOf(out[2]), payload);
+
+    // The blocking API copies out of the views: the dead core's
+    // entry is a zero-filled payload of the gathered size.
+    std::vector<std::vector<std::uint8_t>> copies;
+    system.gather(0, payload.size(), copies);
+    ASSERT_EQ(copies.size(), 3u);
+    EXPECT_EQ(copies[0], payload);
+    EXPECT_EQ(copies[1], std::vector<std::uint8_t>(payload.size(), 0));
+    EXPECT_EQ(copies[2], payload);
+}
+
+TEST(CommandStreamGather, ChargesWhatTheTimedGatherCharges)
+{
+    auto system = makeSystem(4);
+    CommandStream stream(system);
+    const auto payload = pattern(300, 5);
+    stream.pushBroadcast(0, payload);
+    const double before = stream.now();
+
+    std::vector<std::span<const std::uint8_t>> out;
+    const auto status =
+        stream.gather(0, payload.size(), out, TimeBucket::InterCore,
+                      "gather:q");
+    ASSERT_TRUE(status.ok());
+    // The modelled PIM-to-CPU transfer of the payload from 4 cores.
+    EXPECT_EQ(status.seconds,
+              system.config().transferModel.pimToCpuSeconds(
+                  payload.size(), 4));
+    EXPECT_EQ(stream.gatherTimed(0, payload.size(),
+                                 TimeBucket::InterCore, "gather:q"),
+              status.seconds);
+
+    const auto &events = stream.timeline().events();
+    ASSERT_EQ(events.size(), 3u);
+    for (std::size_t i = 1; i < 3; ++i) {
+        EXPECT_EQ(events[i].phase, Phase::Gather);
+        EXPECT_EQ(events[i].bucket, TimeBucket::InterCore);
+        EXPECT_EQ(events[i].label, "gather:q");
+        EXPECT_DOUBLE_EQ(events[i].duration(), status.seconds);
+    }
+    EXPECT_EQ(events[1].start, before);
+}
+
+TEST(CommandStreamGather, CorruptGatherClearsViewsAndRetriesCleanly)
+{
+    PimConfig cfg;
+    cfg.numDpus = 3;
+    cfg.mramBytesPerDpu = 1u << 20;
+    cfg.faultPlan.scheduled = {
+        {swiftrl::pimsim::FaultKind::CorruptGather, /*site=*/0,
+         /*dpu=*/2}};
+    PimSystem system(cfg);
+    CommandStream stream(system);
+    const auto payload = pattern(64, 11);
+    stream.pushBroadcast(0, payload);
+
+    std::vector<std::span<const std::uint8_t>> out;
+    const auto failed = stream.gather(0, payload.size(), out);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error->kind,
+              swiftrl::pimsim::FaultKind::CorruptGather);
+    EXPECT_EQ(failed.error->site, 0u);
+    EXPECT_EQ(failed.error->dpus, std::vector<std::size_t>{2});
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(stream.faultSitesUsed(), 1u);
+    EXPECT_EQ(stream.timeline().events().back().label,
+              "fault:corrupt-gather");
+
+    // The flip hit a received copy, never the bank: a retry (the
+    // next fault site) reads every core's bytes cleanly.
+    const auto retried = stream.gather(0, payload.size(), out);
+    ASSERT_TRUE(retried.ok());
+    EXPECT_EQ(stream.faultSitesUsed(), 2u);
+    ASSERT_EQ(out.size(), 3u);
+    for (const auto &view : out)
+        EXPECT_EQ(bytesOf(view), payload);
 }
 
 TEST(CommandStreamDeath, OutOfBankTimedGatherIsFatal)

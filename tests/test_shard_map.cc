@@ -304,7 +304,7 @@ TEST(ShardPacking, HaloWirePacksRowsInHaloOrder)
     EXPECT_TRUE(swiftrl::packHaloWire(qio, q, {}, 3).empty());
 }
 
-TEST(ShardPacking, DecodeSliceWireInvertsPackWire)
+TEST(ShardPacking, AccumulateWireInvertsPackWire)
 {
     const QTable q = rampTable(6, 2);
     for (const auto format :
@@ -312,9 +312,8 @@ TEST(ShardPacking, DecodeSliceWireInvertsPackWire)
         const Workload w{Algorithm::QLearning, Sampling::Seq, format};
         const QTableIo qio(w, Hyper{});
         const auto wire = qio.packWire(q);
-        const auto decoded = swiftrl::decodeSliceWire(
-            wire, q.entryCount(), format == NumericFormat::Fp32,
-            qio.fixedScale());
+        std::vector<float> decoded(q.entryCount(), 0.0f);
+        qio.accumulateWire(wire, decoded);
         ASSERT_EQ(decoded.size(), q.entryCount());
         if (format == NumericFormat::Fp32) {
             EXPECT_EQ(std::memcmp(decoded.data(), q.values().data(),

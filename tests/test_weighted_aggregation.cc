@@ -3,6 +3,8 @@
  * Tests for visit-count-weighted aggregation (extension E5).
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "rlcore/evaluate.hh"
@@ -131,6 +133,38 @@ TEST(WeightedAggregation, WorksWithMultiTasklet)
     swiftrl::rlenv::FrozenLake eval_env(true);
     const auto eval = evaluateGreedy(eval_env, r.finalQ, 300, 7);
     EXPECT_GT(eval.meanReward, 0.2);
+}
+
+TEST(WeightedAggregation, EmptyChunksAddNoWeight)
+{
+    // Fewer transitions than cores: cores 12..15 get empty chunks,
+    // never train and never write their visit counts. Their zero
+    // weight must leave the mean exactly that of the 12 cores that
+    // do train (the same chunks and LCG streams), through a
+    // pause/resume on a fresh system as well.
+    swiftrl::rlenv::FrozenLake env(true);
+    const auto data = collectRandomDataset(env, 12, 5);
+    auto cfg = config(true, 12, 4);
+    cfg.workload.format = NumericFormat::Fp32;
+
+    auto few_sys = makeSystem(12);
+    const auto few = PimTrainer(few_sys, cfg).train(data, 16, 4);
+    auto many_sys = makeSystem(16);
+    const auto many = PimTrainer(many_sys, cfg).train(data, 16, 4);
+    for (const float v : many.finalQ.values())
+        ASSERT_TRUE(std::isfinite(v));
+    EXPECT_EQ(QTable::maxAbsDifference(few.finalQ, many.finalQ), 0.0f);
+
+    swiftrl::SessionCheckpoint ck;
+    {
+        auto sys = makeSystem(16);
+        ck = PimTrainer(sys, cfg).trainUntilRound(data, 16, 4, 1);
+    }
+    auto resumed_sys = makeSystem(16);
+    const auto resumed =
+        PimTrainer(resumed_sys, cfg).resume(data, 16, 4, ck);
+    EXPECT_EQ(QTable::maxAbsDifference(many.finalQ, resumed.finalQ),
+              0.0f);
 }
 
 } // namespace
