@@ -28,23 +28,32 @@
  * and reports, because an embedder's bad input must never kill the
  * embedding process.
  *
- * Training params_json keys (all optional unless noted):
- *   "env"            (required) "frozenlake" | "frozenlake-det" |
- *                    "taxi" | "cliffwalking"
- *   "cores"          PIM cores to train on            (default 125)
- *   "host_threads"   simulation host threads; 0 = all (default 0)
- *   "transitions"    offline dataset size         (default 16384)
- *   "collect_seed"   dataset collection seed          (default 1234)
- *   "algo"           "qlearning" | "sarsa"     (default "qlearning")
- *   "sampling"       "seq" | "ran" | "str"          (default "seq")
- *   "format"         "fp32" | "int32"              (default "fp32")
- *   "alpha" "gamma" "epsilon" "episodes" "stride" "seed"
- *                    hyper-parameters      (paper defaults, Sec 4.1)
- *   "tau"            synchronisation period            (default 50)
- *   "block_transitions"  staging block size           (default 128)
- *   "tasklets"       threads per core, 1..24            (default 1)
- *   "weighted"       visit-weighted aggregation     (default false)
- *   "epsilon_decay"  per-round epsilon multiplier     (default 1.0)
+ * Training params_json keys, all optional (default in parentheses):
+ * the rows of src/swiftrl/train_params.cc, the table the CLI flags and
+ * fleet job specs read too.
+ *   "env"               frozenlake, frozenlake-det, taxi, cliffwalking,
+ *                       lake:<side>[:det], mptaxi:<side>x<P> (frozenlake)
+ *   "cores"             PIM cores to train on                 (125)
+ *   "host_threads"      simulation host threads; 0 = all        (0)
+ *   "transitions"       offline dataset size                (16384)
+ *   "collect_seed"      dataset collection seed              (1234)
+ *   "algo"              qlearning (or q) | sarsa        (qlearning)
+ *   "sampling"          seq | ran | str                       (seq)
+ *   "format"            fp32 | int32 | int8                  (fp32)
+ *   "alpha"             learning rate                         (0.1)
+ *   "gamma"             discount factor                      (0.95)
+ *   "epsilon"           SARSA exploration rate               (0.05)
+ *   "episodes"          episode budget                       (2000)
+ *   "stride"            STR sampling stride                     (4)
+ *   "seed"              training seed                          (42)
+ *   "tau"               synchronisation period                 (50)
+ *   "block_transitions" transitions per staging block         (128)
+ *   "tasklets"          tasklets per core, 1..24                (1)
+ *   "weighted"          visit-weighted aggregation         (false)
+ *   "epsilon_decay"     per-round epsilon multiplier, (0, 1]  (1.0)
+ *   "shards"            Q-table state-range shards; 0 = none    (0)
+ * Integers saturate instead of wrapping; negative counts and seeds,
+ * wrong JSON types and unknown keys are SWIFTRL_ERR_PARSE.
  *
  * Serving serving_json keys (both optional; NULL json = defaults):
  *   "max_batch"      queries per batch                 (default 64)

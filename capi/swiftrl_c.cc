@@ -8,11 +8,11 @@
  * layer treats invalid configuration as a programming error and
  * aborts (SWIFTRL_FATAL); here every input crosses a trust boundary,
  * so each entry point checks what the C++ constructors would be
- * fatal about — JSON shape, enum spellings, the session rules
- * (through the same sessionConfigInvalidReason() the constructors
- * use), checkpoint identity — and turns the failure into a status
- * code plus a thread-local message before any fatal path is
- * reachable.
+ * fatal about — JSON shape, then every training-parameter rule
+ * through readTrainParams() (the reader the CLI and the fleet job
+ * parser share, see swiftrl/train_params.hh), checkpoint identity —
+ * and turns the failure into a status code plus a thread-local
+ * message before any fatal path is reachable.
  */
 
 #include "capi/swiftrl.h"
@@ -22,7 +22,6 @@
 #include <string>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include <iostream>
 
@@ -35,7 +34,7 @@
 #include "rlenv/registry.hh"
 #include "serving/policy_server.hh"
 #include "swiftrl/session.hh"
-#include "swiftrl/sharding.hh"
+#include "swiftrl/train_params.hh"
 
 namespace {
 
@@ -72,218 +71,22 @@ fileStatus(const std::string &reason)
                : SWIFTRL_ERR_CORRUPT;
 }
 
-/** Everything swiftrl_session_create needs, parsed and validated. */
-struct TrainParams
+/** Parse + validate params_json into @p params: empty, or the reason
+ *  for any problem the C++ layer would abort over. */
+std::string
+parseTrainParams(const char *params_json, swiftrl::TrainParams &params)
 {
-    std::string env = "frozenlake";
-    std::size_t cores = 125;
-    unsigned hostThreads = 0;
-    std::size_t transitions = 16384;
-    std::uint64_t collectSeed = 1234;
-    /** Shape of the validated environment (parse resolves it). */
-    rlenv::StateId numStates = 0;
-    rlenv::ActionId numActions = 0;
-    swiftrl::SessionConfig session;
-};
-
-bool
-parseEnum(const std::string &value,
-          const std::vector<std::pair<std::string, int>> &table,
-          int *out)
-{
-    for (const auto &[name, tag] : table) {
-        if (value == name) {
-            *out = tag;
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Parse + validate params_json into @p params; false + reason on
- *  any problem the C++ layer would abort over. */
-bool
-parseTrainParams(const char *params_json, TrainParams &params,
-                 std::string &reason)
-{
-    if (params_json == nullptr) {
-        reason = "params_json must not be NULL";
-        return false;
-    }
-    std::string parse_error;
-    const auto doc =
-        swiftrl::json::parseJson(params_json, &parse_error);
-    if (!doc) {
-        reason = "params_json: " + parse_error;
-        return false;
-    }
-    if (!doc->isObject()) {
-        reason = "params_json must be a JSON object";
-        return false;
-    }
-
-    static const char *const kKnown[] = {
-        "env",      "cores",    "host_threads",
-        "transitions", "collect_seed", "algo",
-        "sampling", "format",   "alpha",
-        "gamma",    "epsilon",  "episodes",
-        "stride",   "seed",     "tau",
-        "block_transitions", "tasklets", "weighted",
-        "epsilon_decay", "shards",
-    };
-    for (const auto &[key, value] : doc->members) {
-        bool known = false;
-        for (const char *k : kKnown)
-            known = known || key == k;
-        if (!known) {
-            reason = "params_json: unknown key \"" + key + "\"";
-            return false;
-        }
-        (void)value;
-    }
-
-    params.env = doc->stringOr("env", "");
-    if (params.env.empty()) {
-        reason = "params_json: \"env\" is required";
-        return false;
-    }
-    // tryMakeEnvironment covers the procedural families
-    // ("lake:<side>", "mptaxi:<side>x<P>") that a fixed-name lookup
-    // would reject, and returns the spec-specific parse error.
-    std::string env_error;
-    const auto probe_env =
-        rlenv::tryMakeEnvironment(params.env, &env_error);
-    if (!probe_env) {
-        reason = "params_json: " + env_error;
-        return false;
-    }
-    params.numStates = probe_env->numStates();
-    params.numActions = probe_env->numActions();
-
-    const long cores = doc->intOr("cores", 125);
-    const long host_threads = doc->intOr("host_threads", 0);
-    const long transitions = doc->intOr("transitions", 16384);
-    if (cores < 1) {
-        reason = "params_json: \"cores\" must be >= 1";
-        return false;
-    }
-    if (host_threads < 0) {
-        reason = "params_json: \"host_threads\" must be >= 0";
-        return false;
-    }
-    // transitions < cores is fine: partitionDataset hands the excess
-    // cores empty chunks, and empty chunks train zero episodes of
-    // nothing — only a fully empty dataset is meaningless.
-    if (transitions < 1) {
-        reason = "params_json: \"transitions\" must be >= 1";
-        return false;
-    }
-    params.cores = static_cast<std::size_t>(cores);
-    params.hostThreads = static_cast<unsigned>(host_threads);
-    params.transitions = static_cast<std::size_t>(transitions);
-    params.collectSeed =
-        static_cast<std::uint64_t>(doc->intOr("collect_seed", 1234));
-
-    int tag = 0;
-    const std::string algo = doc->stringOr("algo", "qlearning");
-    if (!parseEnum(algo,
-                   {{"qlearning",
-                     int(rlcore::Algorithm::QLearning)},
-                    {"sarsa", int(rlcore::Algorithm::Sarsa)}},
-                   &tag)) {
-        reason = "params_json: \"algo\" must be qlearning or sarsa";
-        return false;
-    }
-    params.session.workload.algo = rlcore::Algorithm(tag);
-
-    const std::string sampling = doc->stringOr("sampling", "seq");
-    if (!parseEnum(sampling,
-                   {{"seq", int(rlcore::Sampling::Seq)},
-                    {"ran", int(rlcore::Sampling::Ran)},
-                    {"str", int(rlcore::Sampling::Str)}},
-                   &tag)) {
-        reason = "params_json: \"sampling\" must be seq, ran, or str";
-        return false;
-    }
-    params.session.workload.sampling = rlcore::Sampling(tag);
-
-    const std::string format = doc->stringOr("format", "fp32");
-    if (!parseEnum(format,
-                   {{"fp32", int(rlcore::NumericFormat::Fp32)},
-                    {"int32", int(rlcore::NumericFormat::Int32)}},
-                   &tag)) {
-        reason = "params_json: \"format\" must be fp32 or int32";
-        return false;
-    }
-    params.session.workload.format = rlcore::NumericFormat(tag);
-
-    auto &hyper = params.session.hyper;
-    hyper.alpha =
-        static_cast<float>(doc->numberOr("alpha", hyper.alpha));
-    hyper.gamma =
-        static_cast<float>(doc->numberOr("gamma", hyper.gamma));
-    hyper.epsilon =
-        static_cast<float>(doc->numberOr("epsilon", hyper.epsilon));
-    hyper.seed =
-        static_cast<std::uint64_t>(doc->intOr("seed", 42));
-
-    // Saturated, so an out-of-range count reaches the session rules
-    // below instead of wrapping into range.
-    using swiftrl::json::saturate;
-    hyper.episodes =
-        saturate<int>(doc->intOr("episodes", hyper.episodes));
-    hyper.stride = saturate<int>(doc->intOr("stride", hyper.stride));
-    params.session.tau =
-        saturate<int>(doc->intOr("tau", params.session.tau));
-    params.session.blockTransitions =
-        saturate<std::size_t>(doc->intOr("block_transitions", 128));
-    params.session.tasklets =
-        saturate<unsigned>(doc->intOr("tasklets", 1));
-    params.session.weightedAggregation =
-        doc->boolOr("weighted", false);
-    params.session.epsilonDecay = static_cast<float>(
-        doc->numberOr("epsilon_decay", 1.0));
-
-    const long shards = doc->intOr("shards", 0);
-    if (shards < 0) {
-        reason = "params_json: \"shards\" must be >= 0";
-        return false;
-    }
-    params.session.shards = static_cast<std::size_t>(shards);
-
-    const std::string session_reason =
-        swiftrl::sessionConfigInvalidReason(params.session);
-    if (!session_reason.empty()) {
-        reason = "params_json: " + session_reason;
-        return false;
-    }
-    if (params.session.shards > 0) {
-        // What TrainerSession would be fatal about at begin time,
-        // rechecked here so an embedder gets a status code instead of
-        // abort(): plan validity and the conservative MRAM demand
-        // bound against the default bank size.
-        const std::string plan_reason = swiftrl::shardPlanInvalidReason(
-            params.numStates, params.session.shards, params.cores);
-        if (!plan_reason.empty()) {
-            reason = "params_json: \"shards\": " + plan_reason;
-            return false;
-        }
-        const std::size_t demand = swiftrl::shardedMramDemandBound(
-            params.numStates, params.numActions,
-            params.session.shards, params.transitions);
-        const std::size_t bank =
-            swiftrl::pimsim::PimConfig{}.mramBytesPerDpu;
-        if (demand > bank) {
-            reason = "params_json: sharded layout needs " +
-                     std::to_string(demand) +
-                     " bytes of MRAM per core but banks hold " +
-                     std::to_string(bank) +
-                     "; raise \"shards\" or lower \"transitions\"";
-            return false;
-        }
-    }
-    params.session.streaming = false;
-    return true;
+    if (params_json == nullptr)
+        return "params_json must not be NULL";
+    std::string reason;
+    const auto doc = swiftrl::json::parseJson(params_json, &reason);
+    if (!doc)
+        return "params_json: " + reason;
+    if (!doc->isObject())
+        return "params_json must be a JSON object";
+    reason = swiftrl::readTrainParams(
+        *doc, swiftrl::TrainSurface::CApi, params);
+    return reason.empty() ? reason : "params_json: " + reason;
 }
 
 } // namespace
@@ -291,7 +94,6 @@ parseTrainParams(const char *params_json, TrainParams &params,
 /** One C-API training run: the machine, the dataset, the session. */
 struct swiftrl_session
 {
-    TrainParams params;
     std::unique_ptr<swiftrl::pimsim::PimSystem> system;
     rlcore::Dataset data;
     std::unique_ptr<swiftrl::TrainerSession> session;
@@ -314,13 +116,11 @@ namespace {
 /** Shared body of create and restore: build everything up to (but
  *  not including) begin/restore on the session. */
 std::unique_ptr<swiftrl_session>
-buildSession(const TrainParams &params)
+buildSession(const swiftrl::TrainParams &params, rlenv::Environment &env)
 {
     auto handle = std::make_unique<swiftrl_session>();
-    handle->params = params;
-    const auto env = rlenv::makeEnvironment(params.env);
     handle->data = rlcore::collectRandomDataset(
-        *env, params.transitions, params.collectSeed);
+        env, params.transitions, params.collectSeed);
     swiftrl::pimsim::PimConfig machine;
     machine.numDpus = params.cores;
     machine.hostThreads = params.hostThreads;
@@ -371,13 +171,13 @@ swiftrl_session_create(const char *params_json,
         return fail(SWIFTRL_ERR_INVALID_ARGUMENT,
                     "out_session must not be NULL");
     *out_session = nullptr;
-    TrainParams params;
-    std::string reason;
-    if (!parseTrainParams(params_json, params, reason))
+    swiftrl::TrainParams params;
+    std::string reason = parseTrainParams(params_json, params);
+    if (!reason.empty())
         return fail(SWIFTRL_ERR_PARSE, reason);
 
-    auto handle = buildSession(params);
     const auto env = rlenv::makeEnvironment(params.env);
+    auto handle = buildSession(params, *env);
     handle->session->beginOffline(handle->data, env->numStates(),
                                   env->numActions());
     *out_session = handle.release();
@@ -431,9 +231,9 @@ swiftrl_session_restore(const char *params_json,
     if (checkpoint_path == nullptr)
         return fail(SWIFTRL_ERR_INVALID_ARGUMENT,
                     "checkpoint_path must not be NULL");
-    TrainParams params;
-    std::string reason;
-    if (!parseTrainParams(params_json, params, reason))
+    swiftrl::TrainParams params;
+    std::string reason = parseTrainParams(params_json, params);
+    if (!reason.empty())
         return fail(SWIFTRL_ERR_PARSE, reason);
 
     const auto ck =
@@ -455,7 +255,7 @@ swiftrl_session_restore(const char *params_json,
                     "checkpoint was trained on a different "
                     "environment shape than \"" + params.env + "\"");
 
-    auto handle = buildSession(params);
+    auto handle = buildSession(params, *env);
     handle->session->restoreOffline(handle->data, *ck);
     *out_session = handle.release();
     return ok();
@@ -550,7 +350,6 @@ swiftrl_policy_load(const char *q_table_path,
                 return fail(SWIFTRL_ERR_PARSE,
                             "serving_json: unknown key \"" + key +
                                 "\"");
-            (void)value;
         }
         const long max_batch = doc->intOr("max_batch", 64);
         const double max_wait =

@@ -40,6 +40,8 @@
 
 #include <algorithm>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
@@ -49,6 +51,7 @@
 #include "rlcore/serialization.hh"
 #include "serving/policy_server.hh"
 #include "swiftrl/swiftrl.hh"
+#include "swiftrl/train_params.hh"
 #include "telemetry/export.hh"
 #include "telemetry/metric_registry.hh"
 #include "telemetry/run_manifest.hh"
@@ -57,37 +60,91 @@
 namespace {
 
 /**
- * Causal-trace exports, shared by every mode: --trace-spans writes
- * the retained span dump (validated by tools/check_trace.py),
- * --flight-record writes the always-on flight ring on demand.
- * Returns non-zero when a requested file could not be written.
+ * Write the file flag @p flag names, when it was given, through
+ * @p write(path). False (with a warning) when it could not be
+ * written.
+ */
+template <typename Write>
+bool
+writeRequested(const swiftrl::common::CliFlags &flags, const char *flag,
+               const char *what, Write &&write)
+{
+    const auto path = flags.getString(flag, "");
+    if (path.empty())
+        return true;
+    if (!write(path)) {
+        SWIFTRL_WARN("cannot write ", what, " ", path);
+        return false;
+    }
+    std::cout << what << " written to " << path << "\n";
+    return true;
+}
+
+/**
+ * The exports every mode shares: --metrics (JSON, validated by
+ * tools/check_metrics.py and diffed by tools/bench_compare.py) and
+ * --metrics-prom (Prometheus text) write the registry with its run
+ * manifest; --trace-spans writes the retained causal span dump
+ * (validated by tools/check_trace.py) and --flight-record the
+ * always-on flight ring. Returns non-zero when a requested file could
+ * not be written.
  */
 int
-writeTraceOutputs(const swiftrl::common::CliFlags &flags)
+writeExports(const swiftrl::common::CliFlags &flags,
+             const swiftrl::telemetry::RunManifest &manifest,
+             const swiftrl::telemetry::MetricRegistry &metrics)
 {
     using namespace swiftrl;
+    auto &tracer = telemetry::tracer();
+    const bool ok =
+        writeRequested(flags, "metrics", "metrics",
+                       [&](const std::string &path) {
+                           return telemetry::writeMetricsJson(
+                               path, manifest, metrics);
+                       }) &&
+        writeRequested(flags, "metrics-prom", "prometheus metrics",
+                       [&](const std::string &path) {
+                           return telemetry::writeMetricsPrometheus(
+                               path, manifest, metrics);
+                       }) &&
+        writeRequested(flags, "trace-spans", "trace spans",
+                       [&](const std::string &path) {
+                           return tracer.writeSpansJson(path);
+                       }) &&
+        writeRequested(flags, "flight-record", "flight record",
+                       [&](const std::string &path) {
+                           return tracer.writeFlightJson(path);
+                       });
+    return ok ? 0 : 1;
+}
 
-    const auto spans_path = flags.getString("trace-spans", "");
-    if (!spans_path.empty()) {
-        if (telemetry::tracer().writeSpansJson(spans_path)) {
-            std::cout << "trace spans written to " << spans_path
-                      << "\n";
-        } else {
-            SWIFTRL_WARN("cannot write span file ", spans_path);
-            return 1;
+/**
+ * --serve N: answer N greedy-action queries from @p table through the
+ * batched serving frontend (src/serving), walking the state space
+ * round-robin so the served actions are deterministic. False when a
+ * query was rejected.
+ */
+bool
+serveQueries(const swiftrl::rlcore::QTable &table, long long queries,
+             const swiftrl::serving::ServingConfig &config,
+             const std::string &tenant)
+{
+    using namespace swiftrl;
+    serving::PolicyServer server(table, config);
+    for (long long i = 0; i < queries; ++i) {
+        const auto state =
+            static_cast<rlcore::StateId>(i % table.numStates());
+        if (server.act(state, tenant) < 0) {
+            SWIFTRL_WARN("policy serving rejected state ", state,
+                         " for tenant ", tenant);
+            return false;
         }
     }
-    const auto flight_path = flags.getString("flight-record", "");
-    if (!flight_path.empty()) {
-        if (telemetry::tracer().writeFlightJson(flight_path)) {
-            std::cout << "flight record written to " << flight_path
-                      << "\n";
-        } else {
-            SWIFTRL_WARN("cannot write flight record ", flight_path);
-            return 1;
-        }
-    }
-    return 0;
+    server.stop();
+    const auto stats = server.stats();
+    std::cout << "served " << stats.queries << " queries for tenant "
+              << tenant << " in " << stats.batches << " batch(es)\n";
+    return true;
 }
 
 /** Shared tail of both modes: evaluate, report, export, checkpoint. */
@@ -122,46 +179,16 @@ finishRun(const swiftrl::common::CliFlags &flags,
     // Export the run's command timeline as Chrome trace JSON: open
     // the file in chrome://tracing or https://ui.perfetto.dev. With
     // telemetry on, the trace additionally carries counter tracks
-    // (straggler ratio, DMA bytes, live cores, max |dQ|).
-    const auto trace_path = flags.getString("trace", "");
-    if (!trace_path.empty()) {
-        // With --trace-spans active, the retained causal spans are
-        // merged into the same trace as nested slices (pid 1).
-        if (timeline.writeChromeTrace(
-                trace_path,
-                telemetry::tracer().chromeSpanEvents())) {
-            std::cout << "trace written to " << trace_path << " ("
-                      << timeline.size() << " commands)\n";
-        } else {
-            SWIFTRL_WARN("cannot write trace file ", trace_path);
-            return 1;
-        }
-    }
-
-    // Metrics export: JSON (tools/check_metrics.py validates it,
-    // tools/bench_compare.py diffs it) and Prometheus text format.
-    const auto metrics_path = flags.getString("metrics", "");
-    if (!metrics_path.empty()) {
-        if (telemetry::writeMetricsJson(metrics_path, manifest,
-                                        metrics)) {
-            std::cout << "metrics written to " << metrics_path << " ("
-                      << metrics.size() << " metrics)\n";
-        } else {
-            SWIFTRL_WARN("cannot write metrics file ", metrics_path);
-            return 1;
-        }
-    }
-    const auto prom_path = flags.getString("metrics-prom", "");
-    if (!prom_path.empty()) {
-        if (telemetry::writeMetricsPrometheus(prom_path, manifest,
-                                              metrics)) {
-            std::cout << "prometheus metrics written to " << prom_path
-                      << "\n";
-        } else {
-            SWIFTRL_WARN("cannot write metrics file ", prom_path);
-            return 1;
-        }
-    }
+    // (straggler ratio, DMA bytes, live cores, max |dQ|); with
+    // --trace-spans active, the retained causal spans are merged
+    // into the same trace as nested slices (pid 1).
+    if (!writeRequested(flags, "trace", "trace",
+                        [&](const std::string &path) {
+                            return timeline.writeChromeTrace(
+                                path,
+                                telemetry::tracer().chromeSpanEvents());
+                        }))
+        return 1;
 
     const auto save_q = flags.getString("save-qtable", "");
     if (!save_q.empty()) {
@@ -169,28 +196,11 @@ finishRun(const swiftrl::common::CliFlags &flags,
         std::cout << "Q-table saved to " << save_q << "\n";
     }
 
-    // --serve N: answer N greedy-action queries from the trained
-    // table through the batched serving frontend (src/serving), as a
-    // smoke of the deployment path. Queries walk the state space
-    // round-robin, so the served actions are deterministic.
+    // --serve N: a smoke of the deployment path.
     const auto serve = flags.getInt("serve", 0);
-    if (serve > 0) {
-        serving::PolicyServer server(final_q, {});
-        for (long long i = 0; i < serve; ++i) {
-            const auto state = static_cast<rlcore::StateId>(
-                i % final_q.numStates());
-            if (server.act(state) < 0) {
-                SWIFTRL_WARN("policy serving rejected state ", state);
-                return 1;
-            }
-        }
-        server.stop();
-        const auto stats = server.stats();
-        std::cout << "served " << stats.queries
-                  << " greedy queries in " << stats.batches
-                  << " batch(es)\n";
-    }
-    return writeTraceOutputs(flags);
+    if (serve > 0 && !serveQueries(final_q, serve, {}, "default"))
+        return 1;
+    return writeExports(flags, manifest, metrics);
 }
 
 } // namespace
@@ -200,17 +210,18 @@ main(int argc, char **argv)
 {
     using namespace swiftrl;
 
-    const common::CliFlags flags(
-        argc, argv,
-        {"env", "algo", "sampling", "format", "cores", "episodes",
-         "tau", "tasklets", "transitions", "seed", "eval-episodes",
-         "save-qtable", "save-dataset", "load-dataset", "stats",
-         "alpha", "gamma", "epsilon", "weighted", "trace",
-         "host-threads", "streaming", "actors", "refresh-period",
+    // The training flags come from the training-parameter table
+    // (swiftrl/train_params.hh); the rest drive this binary.
+    std::vector<std::string> known = trainParamFlags();
+    known.insert(
+        known.end(),
+        {"eval-episodes", "save-qtable", "save-dataset", "load-dataset",
+         "stats", "trace", "streaming", "actors", "refresh-period",
          "generations", "fault-seed", "fault-rate", "dropout-rate",
          "retry-limit", "metrics", "metrics-prom", "log-level",
          "checkpoint", "pause-round", "restore", "serve", "fleet",
-         "shards", "batch-exec", "trace-spans", "flight-record"});
+         "batch-exec", "trace-spans", "flight-record"});
+    const common::CliFlags flags(argc, argv, std::move(known));
 
     // --log-level overrides the SWIFTRL_LOG environment variable.
     // An unknown name warns once and falls back to inform rather
@@ -230,12 +241,29 @@ main(int argc, char **argv)
     if (!flight_record_path.empty())
         telemetry::tracer().setCrashDumpPath(flight_record_path);
 
+    // Training parameters: the table's defaults and rules, exactly as
+    // the C ABI's params_json and fleet job specs read them.
+    TrainParams params;
+    const std::string params_reason = readTrainParams(flags, params);
+    if (!params_reason.empty())
+        SWIFTRL_FATAL("training flags: ", params_reason);
+
+    // Telemetry: enabled only when an export was requested, so
+    // default runs construct nothing but an inert registry. The
+    // trainers see a null registry pointer in that case and skip
+    // collector attachment entirely.
+    const bool want_metrics =
+        !flags.getString("metrics", "").empty() ||
+        !flags.getString("metrics-prom", "").empty();
+    telemetry::MetricRegistry metrics(want_metrics);
+
     // --- fleet mode --------------------------------------------------
     // --fleet jobs.json replaces the single-run flow entirely: the
     // document describes a shared rank pool and a multi-tenant job
     // list (schema in docs/SCHEDULER.md), and the scheduler runs it
-    // to completion. Per-run training flags are ignored — each job
-    // carries its own workload and hyper-parameters.
+    // to completion. Per-run training flags other than --host-threads
+    // are ignored — each job carries its own workload and
+    // hyper-parameters.
     const auto fleet_path = flags.getString("fleet", "");
     if (!fleet_path.empty()) {
         if (flags.getBool("streaming", false) ||
@@ -245,14 +273,8 @@ main(int argc, char **argv)
                           "with --streaming/--checkpoint/--restore");
         }
         auto spec = fleet::loadFleetSpec(fleet_path);
-        spec.config.hostThreads =
-            static_cast<unsigned>(flags.getInt("host-threads", 0));
-        const bool want_fleet_metrics =
-            !flags.getString("metrics", "").empty() ||
-            !flags.getString("metrics-prom", "").empty();
-        telemetry::MetricRegistry fleet_metrics(want_fleet_metrics);
-        spec.config.metrics =
-            want_fleet_metrics ? &fleet_metrics : nullptr;
+        spec.config.hostThreads = params.hostThreads;
+        spec.config.metrics = want_metrics ? &metrics : nullptr;
 
         std::cout << "fleet: " << spec.config.totalRanks
                   << " rank(s) x " << spec.config.dpusPerRank
@@ -289,28 +311,16 @@ main(int argc, char **argv)
         // in the trace dump is causally attributed to the job that
         // trained the table.
         const auto fleet_serve = flags.getInt("serve", 0);
-        if (fleet_serve > 0) {
-            for (const auto &job : result.jobs) {
-                serving::ServingConfig serve_cfg;
-                serve_cfg.traceParent = job.traceSpanId;
-                serve_cfg.metrics = spec.config.metrics;
-                serving::PolicyServer server(job.finalQ, serve_cfg);
-                for (long long i = 0; i < fleet_serve; ++i) {
-                    const auto state = static_cast<rlcore::StateId>(
-                        i % job.finalQ.numStates());
-                    if (server.act(state, job.tenant) < 0) {
-                        SWIFTRL_WARN("policy serving rejected state ",
-                                     state, " for job ", job.id);
-                        return 1;
-                    }
-                }
-                server.stop();
-                const auto stats = server.stats();
-                std::cout << "served " << stats.queries
-                          << " queries for " << job.id << " (tenant "
-                          << job.tenant << ") in " << stats.batches
-                          << " batch(es)\n";
-            }
+        for (const auto &job : result.jobs) {
+            if (fleet_serve <= 0)
+                break;
+            serving::ServingConfig serve_cfg;
+            serve_cfg.traceParent = job.traceSpanId;
+            serve_cfg.metrics = spec.config.metrics;
+            std::cout << job.id << ": ";
+            if (!serveQueries(job.finalQ, fleet_serve, serve_cfg,
+                              job.tenant))
+                return 1;
         }
 
         telemetry::RunManifest fleet_manifest;
@@ -319,46 +329,18 @@ main(int argc, char **argv)
         fleet_manifest.cores =
             spec.config.totalRanks * spec.config.dpusPerRank;
         fleet_manifest.hostThreads = spec.config.hostThreads;
-        const auto fleet_metrics_path =
-            flags.getString("metrics", "");
-        if (!fleet_metrics_path.empty()) {
-            if (!telemetry::writeMetricsJson(fleet_metrics_path,
-                                             fleet_manifest,
-                                             fleet_metrics)) {
-                SWIFTRL_WARN("cannot write metrics file ",
-                             fleet_metrics_path);
-                return 1;
-            }
-            std::cout << "metrics written to " << fleet_metrics_path
-                      << " (" << fleet_metrics.size()
-                      << " metrics)\n";
-        }
-        const auto fleet_prom_path =
-            flags.getString("metrics-prom", "");
-        if (!fleet_prom_path.empty()) {
-            if (!telemetry::writeMetricsPrometheus(
-                    fleet_prom_path, fleet_manifest, fleet_metrics)) {
-                SWIFTRL_WARN("cannot write metrics file ",
-                             fleet_prom_path);
-                return 1;
-            }
-            std::cout << "prometheus metrics written to "
-                      << fleet_prom_path << "\n";
-        }
-        return writeTraceOutputs(flags);
+        return writeExports(flags, fleet_manifest, metrics);
     }
 
-    const auto env_name = flags.getString("env", "frozenlake");
+    const std::string &env_name = params.env;
     auto env = rlenv::makeEnvironment(env_name);
 
     // Machine. --host-threads only changes how fast the simulation
     // itself runs (0 = one worker per hardware thread); results and
     // modelled times are bit-identical for every value.
     pimsim::PimConfig pim;
-    pim.numDpus =
-        static_cast<std::size_t>(flags.getInt("cores", 256));
-    pim.hostThreads =
-        static_cast<unsigned>(flags.getInt("host-threads", 0));
+    pim.numDpus = params.cores;
+    pim.hostThreads = params.hostThreads;
     // Fault injection (off by default): --fault-rate covers transient
     // kernel faults and wire corruption, --dropout-rate permanent
     // core loss; draws are seeded by --fault-seed, so a run's fault
@@ -371,20 +353,17 @@ main(int argc, char **argv)
     pim.faultPlan.dropoutRate = flags.getDouble("dropout-rate", 0.0);
     pimsim::PimSystem system(pim);
 
-    // Telemetry: enabled only when an export was requested, so
-    // default runs construct nothing but an inert registry. The
-    // trainers see a null registry pointer in that case and skip
-    // collector attachment entirely.
-    const bool want_metrics =
-        !flags.getString("metrics", "").empty() ||
-        !flags.getString("metrics-prom", "").empty();
-    telemetry::MetricRegistry metrics(want_metrics);
     auto manifest = telemetry::RunManifest::fromSystem(system);
     manifest.tool = "swiftrl_cli";
     manifest.environment = env_name;
 
-    RetryPolicy retry;
-    retry.limit = static_cast<int>(flags.getInt("retry-limit", 3));
+    // Training configuration, shared by both modes.
+    SessionConfig &session = params.session;
+    const Workload &workload = session.workload;
+    const rlcore::Hyper &hyper = session.hyper;
+    RetryPolicy &retry = session.retry;
+    retry.limit =
+        static_cast<int>(flags.getInt("retry-limit", retry.limit));
     if (pim.faultPlan.enabled()) {
         std::cout << "fault injection:  rate " << fault_rate
                   << ", dropout " << pim.faultPlan.dropoutRate
@@ -392,48 +371,23 @@ main(int argc, char **argv)
                   << ", retry limit " << retry.limit << "\n";
     }
 
-    // Workload, shared by both modes.
-    Workload workload;
-    workload.algo =
-        rlcore::parseAlgorithm(flags.getString("algo", "qlearning"));
-    workload.sampling =
-        rlcore::parseSampling(flags.getString("sampling", "seq"));
-    workload.format =
-        rlcore::parseNumericFormat(flags.getString("format", "int32"));
-
-    rlcore::Hyper hyper;
-    hyper.episodes = static_cast<int>(flags.getInt("episodes", 100));
-    hyper.alpha = static_cast<float>(flags.getDouble("alpha", 0.1));
-    hyper.gamma = static_cast<float>(flags.getDouble("gamma", 0.95));
-    hyper.epsilon =
-        static_cast<float>(flags.getDouble("epsilon", 0.05));
-    hyper.seed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 1)) + 41;
-
-    const auto transitions = static_cast<std::size_t>(
-        flags.getInt("transitions", 100'000));
-
-    // Training configuration, shared by both modes; the session and
-    // trainer constructors reject invalid values and combinations.
-    SessionConfig session;
-    session.workload = workload;
-    session.hyper = hyper;
-    session.tau = static_cast<int>(flags.getInt("tau", 50));
-    session.tasklets =
-        static_cast<unsigned>(flags.getInt("tasklets", 1));
     // --batch-exec 0 runs every launch on the scalar interpreter, the
     // batch engine's reference. Bit-identical results; host
     // wall-clock only.
     session.batchExec = flags.getBool("batch-exec", session.batchExec);
-    session.weightedAggregation = flags.getBool("weighted", false);
-    // --shards S: partition the Q-table into S contiguous state
-    // ranges with replicated slices per core group — the path for
-    // procedurally scaled environments (--env lake:64, mptaxi:8x3)
-    // whose tables outgrow whole-table replication.
-    session.shards =
-        static_cast<std::size_t>(flags.getInt("shards", 0));
-    session.retry = retry;
     session.metrics = want_metrics ? &metrics : nullptr;
+
+    manifest.workload = workload.name();
+    manifest.tasklets = session.tasklets;
+    manifest.episodes = hyper.episodes;
+    manifest.tau = session.tau;
+    manifest.weightedAggregation = session.weightedAggregation;
+    manifest.alpha = hyper.alpha;
+    manifest.gamma = hyper.gamma;
+    manifest.epsilon = hyper.epsilon;
+    manifest.collectSeed = params.collectSeed;
+    manifest.trainSeed = hyper.seed;
+    manifest.retryLimit = retry.limit;
 
     if (flags.getBool("streaming", false)) {
         // --- streaming actor–learner mode ---------------------------
@@ -445,36 +399,27 @@ main(int argc, char **argv)
         }
         StreamingConfig cfg;
         cfg.session = session;
-        cfg.generations =
-            static_cast<int>(flags.getInt("generations", 8));
+        cfg.generations = static_cast<int>(
+            flags.getInt("generations", cfg.generations));
         // --episodes and --transitions are run totals in both modes;
         // streaming splits them evenly across the generations.
         cfg.session.hyper.episodes =
             std::max(1, hyper.episodes / std::max(1, cfg.generations));
         cfg.transitionsPerGeneration =
-            transitions /
+            params.transitions /
             static_cast<std::size_t>(std::max(1, cfg.generations));
-        cfg.actors = static_cast<unsigned>(flags.getInt("actors", 1));
-        cfg.refreshPeriod =
-            static_cast<int>(flags.getInt("refresh-period", 0));
-        cfg.collectSeed =
-            static_cast<std::uint64_t>(flags.getInt("seed", 1)) + 977;
+        cfg.actors = static_cast<unsigned>(
+            flags.getInt("actors", cfg.actors));
+        cfg.refreshPeriod = static_cast<int>(
+            flags.getInt("refresh-period", cfg.refreshPeriod));
+        cfg.collectSeed = params.collectSeed;
 
         manifest.mode = "streaming";
-        manifest.workload = workload.name();
-        manifest.tasklets = session.tasklets;
         manifest.episodes = cfg.session.hyper.episodes;
-        manifest.tau = session.tau;
         manifest.transitions = cfg.transitionsPerGeneration;
         manifest.generations = cfg.generations;
         manifest.actors = cfg.actors;
         manifest.refreshPeriod = cfg.refreshPeriod;
-        manifest.alpha = hyper.alpha;
-        manifest.gamma = hyper.gamma;
-        manifest.epsilon = hyper.epsilon;
-        manifest.collectSeed = cfg.collectSeed;
-        manifest.trainSeed = hyper.seed;
-        manifest.retryLimit = retry.limit;
 
         std::cout << "streaming " << workload.name() << " on "
                   << pim.numDpus << " PIM cores, " << cfg.generations
@@ -520,9 +465,8 @@ main(int argc, char **argv)
         std::cout << "loaded " << data.size() << " transitions from "
                   << load_path << "\n";
     } else {
-        data = rlcore::collectRandomDataset(
-            *env, transitions,
-            static_cast<std::uint64_t>(flags.getInt("seed", 1)));
+        data = rlcore::collectRandomDataset(*env, params.transitions,
+                                            params.collectSeed);
         std::cout << "collected " << data.size()
                   << " transitions from " << env_name << "\n";
     }
@@ -533,19 +477,7 @@ main(int argc, char **argv)
     }
 
     manifest.mode = "offline";
-    manifest.workload = workload.name();
-    manifest.tasklets = session.tasklets;
-    manifest.episodes = hyper.episodes;
-    manifest.tau = session.tau;
     manifest.transitions = data.size();
-    manifest.weightedAggregation = session.weightedAggregation;
-    manifest.alpha = hyper.alpha;
-    manifest.gamma = hyper.gamma;
-    manifest.epsilon = hyper.epsilon;
-    manifest.collectSeed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 1));
-    manifest.trainSeed = hyper.seed;
-    manifest.retryLimit = retry.limit;
 
     std::cout << "training " << workload.name() << " on "
               << pim.numDpus << " PIM cores x " << session.tasklets
@@ -576,7 +508,7 @@ main(int argc, char **argv)
                   << " after " << ck.commRounds << " round(s); "
                   << "resume with --restore " << checkpoint_path
                   << "\n";
-        return writeTraceOutputs(flags);
+        return writeExports(flags, manifest, metrics);
     }
 
     const auto result =

@@ -59,15 +59,7 @@ long
 JsonValue::intOr(std::string_view key, long fallback) const
 {
     const JsonValue *v = find(key);
-    return (v && v->isNumber()) ? static_cast<long>(v->number)
-                                : fallback;
-}
-
-bool
-JsonValue::boolOr(std::string_view key, bool fallback) const
-{
-    const JsonValue *v = find(key);
-    return (v && v->isBool()) ? v->boolean : fallback;
+    return (v && v->isNumber()) ? saturate<long>(v->number) : fallback;
 }
 
 std::string

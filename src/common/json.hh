@@ -27,6 +27,7 @@
 #ifndef SWIFTRL_COMMON_JSON_HH
 #define SWIFTRL_COMMON_JSON_HH
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <optional>
@@ -85,11 +86,9 @@ class JsonValue
     /** Member as double, or @p fallback when absent/not a number. */
     double numberOr(std::string_view key, double fallback) const;
 
-    /** Member as long, or @p fallback when absent/not a number. */
+    /** Member as long (saturate()d), or @p fallback when
+     *  absent/not a number. */
     long intOr(std::string_view key, long fallback) const;
-
-    /** Member as bool, or @p fallback when absent/not a bool. */
-    bool boolOr(std::string_view key, bool fallback) const;
 
     /** Member as string, or @p fallback when absent/not a string. */
     std::string stringOr(std::string_view key,
@@ -97,18 +96,26 @@ class JsonValue
 };
 
 /**
- * An integer member narrowed to T, saturated at T's limits: an
- * out-of-range value stays out of range (and keeps its sign) instead
- * of wrapping into the range a later check accepts.
+ * A JSON number as the integer type T, truncated toward zero and
+ * saturated at T's limits: an out-of-range value stays out of range
+ * (and keeps its sign) instead of wrapping into the range a later
+ * check accepts, as an undefined plain cast may.
  */
 template <typename T>
 T
-saturate(long value)
+saturate(double value)
 {
-    if (std::in_range<T>(value))
-        return static_cast<T>(value);
-    return value < 0 ? std::numeric_limits<T>::min()
-                     : std::numeric_limits<T>::max();
+    // 2^digits is the first value past T's maximum; a cast of any
+    // value at or beyond it is undefined.
+    const double past_max =
+        std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (std::isnan(value))
+        return T{};
+    if (value >= past_max)
+        return std::numeric_limits<T>::max();
+    if (value < static_cast<double>(std::numeric_limits<T>::min()))
+        return std::numeric_limits<T>::min();
+    return static_cast<T>(value);
 }
 
 /**

@@ -6,7 +6,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "rlcore/trainers.hh"
+#include "swiftrl/train_params.hh"
 
 namespace swiftrl::fleet {
 
@@ -40,7 +40,6 @@ rejectUnknownKeys(const json::JsonValue &object,
                   const char *where)
 {
     for (const auto &[key, value] : object.members) {
-        (void)value;
         if (!allowed.contains(key))
             SWIFTRL_FATAL("fleet spec: unknown key \"", key, "\" in ",
                           where, " (see docs/SCHEDULER.md for the "
@@ -62,15 +61,11 @@ positiveInt(const json::JsonValue &object, const char *key,
 JobSpec
 parseJob(const json::JsonValue &j, std::size_t index)
 {
+    // The fleet's own keys; every other key is a training parameter.
     static const std::set<std::string> kJobKeys = {
-        "id",       "tenant",   "priority",    "arrival_sec",
-        "ranks",    "min_ranks", "env",        "algo",
-        "sampling", "format",   "episodes",    "tau",
-        "transitions", "tasklets", "alpha",    "gamma",
-        "epsilon",  "seed",
+        "id", "tenant", "priority", "arrival_sec", "ranks", "min_ranks",
     };
     const std::string where = "jobs[" + std::to_string(index) + "]";
-    rejectUnknownKeys(j, kJobKeys, where.c_str());
 
     JobSpec spec;
     spec.id = j.stringOr("id", "");
@@ -94,36 +89,23 @@ parseJob(const json::JsonValue &j, std::size_t index)
         SWIFTRL_FATAL("fleet spec: job \"", spec.id,
                       "\" min_ranks must be in [0, ranks]");
     spec.minRanks = static_cast<std::size_t>(min_ranks);
-    spec.env = j.stringOr("env", "frozenlake");
-    spec.workload.algo =
-        rlcore::parseAlgorithm(j.stringOr("algo", "qlearning"));
-    spec.workload.sampling =
-        rlcore::parseSampling(j.stringOr("sampling", "seq"));
-    spec.workload.format =
-        rlcore::parseNumericFormat(j.stringOr("format", "int32"));
-    // Saturated, so an out-of-range count reaches the session rules
-    // below instead of wrapping into range.
-    spec.hyper.episodes = json::saturate<int>(j.intOr("episodes", 100));
-    spec.tau = json::saturate<int>(j.intOr("tau", 50));
-    spec.tasklets = json::saturate<unsigned>(j.intOr("tasklets", 1));
-    spec.transitions = static_cast<std::size_t>(
-        positiveInt(j, "transitions", 20'000, where.c_str()));
-    spec.hyper.alpha = static_cast<float>(j.numberOr("alpha", 0.1));
-    spec.hyper.gamma = static_cast<float>(j.numberOr("gamma", 0.95));
-    spec.hyper.epsilon =
-        static_cast<float>(j.numberOr("epsilon", 0.05));
-    // Seed discipline matches swiftrl_cli: one operator seed derives
-    // the collection seed directly and the training seed at +41, so
-    // a fleet job and a standalone CLI run of the same spec draw the
-    // same datasets and LCG streams.
-    const auto seed =
-        static_cast<std::uint64_t>(j.intOr("seed", 1));
-    spec.collectSeed = seed;
-    spec.hyper.seed = seed + 41;
+
+    json::JsonValue training = j;
+    std::erase_if(training.members, [](const auto &member) {
+        return kJobKeys.contains(member.first);
+    });
+    TrainParams params;
     const std::string reason =
-        sessionConfigInvalidReason(sessionConfigFor(spec));
+        readTrainParams(training, TrainSurface::Fleet, params);
     if (!reason.empty())
         SWIFTRL_FATAL("fleet spec: job \"", spec.id, "\": ", reason);
+    spec.env = params.env;
+    spec.workload = params.session.workload;
+    spec.hyper = params.session.hyper;
+    spec.tau = params.session.tau;
+    spec.transitions = params.transitions;
+    spec.tasklets = params.session.tasklets;
+    spec.collectSeed = params.collectSeed;
     return spec;
 }
 

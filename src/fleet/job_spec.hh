@@ -67,7 +67,9 @@ struct JobSpec
     /** Smallest acceptable physical grant (0 = same as ranks). */
     std::size_t minRanks = 0;
 
-    /** Environment name ("frozenlake", "taxi", "cliffwalking"). */
+    // Training fields: parsed jobs copy them from TrainParams, whose
+    // defaults these repeat (tests/test_config_rules.cc checks).
+    /** Environment name or procedural spec. */
     std::string env = "frozenlake";
 
     /** Workload variant (algo x sampling x numeric format). */
@@ -80,13 +82,13 @@ struct JobSpec
     int tau = 50;
 
     /** Offline dataset size collected for the job. */
-    std::size_t transitions = 20'000;
+    std::size_t transitions = 16384;
 
     /** Tasklets per core. */
     unsigned tasklets = 1;
 
     /** Dataset-collection seed (hyper.seed trains; this collects). */
-    std::uint64_t collectSeed = 1;
+    std::uint64_t collectSeed = 1234;
 
     /** The grant floor with the 0-default resolved. */
     std::size_t
@@ -156,9 +158,9 @@ struct FleetSpec
 /**
  * Parse the operator JSON document (schema in docs/SCHEDULER.md).
  * Fatal on malformed JSON, unknown keys, duplicate job ids, or
- * out-of-range values — including every sessionConfigInvalidReason()
- * rule on each job's sessionConfigFor() — so the operator surface
- * fails loudly before anything is scheduled.
+ * out-of-range values — each job's training keys through the
+ * training-parameter table (swiftrl/train_params.hh) — so the
+ * operator surface fails loudly before anything is scheduled.
  */
 FleetSpec parseFleetSpec(const std::string &json_text);
 

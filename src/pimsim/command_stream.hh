@@ -7,9 +7,8 @@
  * enqueue executes the operation functionally, advances the stream's
  * modelled clock by the operation's modelled duration, and records a
  * `{start, end}` Event on the stream's Timeline. `sync()` returns the
- * modelled time elapsed since the previous sync point — the
- * command-sequence equivalent of the old blocking API's summed return
- * values.
+ * modelled time elapsed since the previous sync point. Streams are
+ * the only way host code drives a PimSystem.
  *
  * Inside the engine, the functional work of a kernel launch runs on
  * the owning PimSystem's host thread pool — one work item per DPU
@@ -22,8 +21,7 @@
  *
  * Multiple streams may target one PimSystem; each has its own clock
  * and timeline, while functional state (MRAM) is shared and mutated
- * in enqueue order. The blocking PimSystem API is a thin wrapper over
- * a per-system default stream.
+ * in enqueue order.
  *
  * Two extras serve overlapped (streaming) execution plans: waitUntil
  * advances the clock to a host-side dependency (the queue idles), and

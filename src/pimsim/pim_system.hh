@@ -1,19 +1,13 @@
 /**
  * @file
- * Host-side runtime for the simulated PIM system. The API mirrors the
- * shape of the UPMEM SDK host library: allocate a set of cores, push
- * data to their MRAM banks, launch a kernel on all cores in parallel,
- * and gather results — with every call returning the modelled time it
- * would take on the real machine.
- *
- * Since the command-stream refactor, the blocking calls below are
- * thin wrappers over a one-command CommandStream per call: each
- * delegates to the system's default stream, which executes the
- * operation through the engine (kernel launches fan out across the
- * host thread pool), records it on the default stream's timeline,
- * and returns the command's modelled duration. Code that wants an
- * explicit execution plan — command sequences, sync intervals, a
- * trace of its own — constructs its own CommandStream on the system.
+ * The simulated PIM machine: its cores (per-core MRAM banks, cycle
+ * clocks and statistics) and the host thread pool that executes
+ * their functional kernel work. Every host operation — push data to
+ * the MRAM banks, launch a kernel on all cores in parallel, gather
+ * results — is a command on a CommandStream constructed over the
+ * system (pimsim/command_stream.hh), which returns the modelled time
+ * the operation would take on the real machine and records it on the
+ * stream's timeline.
  */
 
 #ifndef SWIFTRL_PIMSIM_PIM_SYSTEM_HH
@@ -21,18 +15,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "pimsim/cost_model.hh"
 #include "pimsim/dpu.hh"
 #include "pimsim/fault_plan.hh"
-#include "pimsim/kernel_context.hh"
 #include "pimsim/transfer_model.hh"
 
 namespace swiftrl::pimsim {
 
-class CommandStream;
 class HostPool;
 
 /** Static configuration of a simulated PIM system. */
@@ -90,7 +81,8 @@ struct PimConfig
 /**
  * The simulated PIM machine. Functionally, kernels execute on the
  * host; temporally, every operation advances integer cycle clocks per
- * the cost model, and every host API call returns modelled seconds.
+ * the cost model, and every command a CommandStream issues on the
+ * system returns modelled seconds.
  */
 class PimSystem
 {
@@ -118,67 +110,6 @@ class PimSystem
     /** Host threads the engine uses for functional kernel work. */
     unsigned hostThreadCount() const;
 
-    /**
-     * The stream behind the blocking wrappers below. Its timeline
-     * records every wrapper call in order.
-     */
-    CommandStream &defaultStream();
-
-    // --- host<->PIM data movement ------------------------------------
-
-    /**
-     * Push a distinct payload to each core's MRAM at @p offset
-     * (the dataset-chunk distribution step).
-     *
-     * @param offset destination MRAM byte offset, same on every core.
-     * @param per_dpu one payload per core; sizes may differ (the last
-     *        chunk of an uneven partition is shorter). Timing uses the
-     *        largest payload, as rank transfers serialise on it.
-     * @return modelled transfer seconds.
-     */
-    double pushChunks(std::size_t offset,
-                      const std::vector<std::span<const std::uint8_t>>
-                          &per_dpu);
-
-    /** Push one identical payload to every core's MRAM at @p offset. */
-    double pushBroadcast(std::size_t offset,
-                         std::span<const std::uint8_t> payload);
-
-    /**
-     * Gather @p bytes from every core's MRAM at @p offset into
-     * @p out (numDpus() owned copies; dropped cores' zero-filled).
-     *
-     * The blocking wrapper has no recovery path: if the default
-     * stream reports a fault it dies loudly. Fault-tolerant code
-     * drives a CommandStream directly and handles the CommandStatus.
-     * @return modelled transfer seconds.
-     */
-    double gather(std::size_t offset, std::size_t bytes,
-                  std::vector<std::vector<std::uint8_t>> &out);
-
-    // --- kernel launch -----------------------------------------------
-
-    /**
-     * Run @p kernel once per core. Cores execute in parallel on the
-     * modelled machine, so the launch lasts as long as the slowest
-     * core's kernel instance (plus fixed launch overhead).
-     *
-     * @param tasklets resident hardware threads per core. The DPU
-     *        pipeline issues one instruction per cycle round-robin
-     *        across tasklets, while each tasklet can issue only once
-     *        per pipelineInterval cycles; with balanced tasklet work
-     *        the launch therefore speeds up by min(tasklets,
-     *        pipelineInterval). The kernel is responsible for
-     *        splitting its work across tasklets (see
-     *        swiftrl::KernelParams::tasklets).
-     *
-     * Like gather(), the blocking wrapper is fail-fast under an
-     * active fault plan: a faulted launch is fatal here. Recovery
-     * belongs to CommandStream callers with a RetryPolicy.
-     * @return modelled seconds for the launch.
-     */
-    double launch(const KernelFn &kernel, unsigned tasklets = 1);
-
     // --- accounting ---------------------------------------------------
 
     /** Cycles consumed by the slowest core across all launches. */
@@ -196,7 +127,6 @@ class PimSystem
     PimConfig _config;
     std::vector<Dpu> _dpus;
     std::unique_ptr<HostPool> _pool;
-    std::unique_ptr<CommandStream> _defaultStream; ///< lazily built
 };
 
 } // namespace swiftrl::pimsim

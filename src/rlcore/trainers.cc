@@ -20,7 +20,7 @@ algorithmName(Algorithm algo)
     SWIFTRL_PANIC("unknown algorithm");
 }
 
-Algorithm
+std::optional<Algorithm>
 parseAlgorithm(const std::string &name)
 {
     std::string n = name;
@@ -31,8 +31,7 @@ parseAlgorithm(const std::string &name)
         return Algorithm::QLearning;
     if (n == "sarsa")
         return Algorithm::Sarsa;
-    SWIFTRL_FATAL("unknown algorithm '", name,
-                  "'; expected qlearning or sarsa");
+    return std::nullopt;
 }
 
 std::int32_t

@@ -31,7 +31,7 @@ samplingName(Sampling s)
     SWIFTRL_PANIC("unknown sampling strategy");
 }
 
-Sampling
+std::optional<Sampling>
 parseSampling(const std::string &name)
 {
     const std::string n = lower(name);
@@ -41,8 +41,7 @@ parseSampling(const std::string &name)
         return Sampling::Ran;
     if (n == "str")
         return Sampling::Str;
-    SWIFTRL_FATAL("unknown sampling strategy '", name,
-                  "'; expected seq, ran, or str");
+    return std::nullopt;
 }
 
 const char *
@@ -56,7 +55,7 @@ numericFormatName(NumericFormat f)
     SWIFTRL_PANIC("unknown numeric format");
 }
 
-NumericFormat
+std::optional<NumericFormat>
 parseNumericFormat(const std::string &name)
 {
     const std::string n = lower(name);
@@ -66,8 +65,7 @@ parseNumericFormat(const std::string &name)
         return NumericFormat::Int32;
     if (n == "int8")
         return NumericFormat::Int8;
-    SWIFTRL_FATAL("unknown numeric format '", name,
-                  "'; expected fp32, int32, or int8");
+    return std::nullopt;
 }
 
 } // namespace swiftrl::rlcore

@@ -8,6 +8,7 @@
 #define SWIFTRL_RLCORE_TYPES_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/fixed_point.hh"
@@ -67,14 +68,15 @@ enum class NumericFormat
 /** Short tag ("SEQ"/"RAN"/"STR") for reports. */
 const char *samplingName(Sampling s);
 
-/** Parse "seq"/"ran"/"str" (case-insensitive); fatal otherwise. */
-Sampling parseSampling(const std::string &name);
+/** Parse "seq"/"ran"/"str" (case-insensitive); nullopt otherwise. */
+std::optional<Sampling> parseSampling(const std::string &name);
 
 /** Short tag ("FP32"/"INT32") for reports. */
 const char *numericFormatName(NumericFormat f);
 
-/** Parse "fp32"/"int32" (case-insensitive); fatal otherwise. */
-NumericFormat parseNumericFormat(const std::string &name);
+/** Parse "fp32"/"int32"/"int8" (case-insensitive); nullopt
+ *  otherwise. */
+std::optional<NumericFormat> parseNumericFormat(const std::string &name);
 
 /** Training hyper-parameters (paper defaults, Sec. 4.1). */
 struct Hyper
@@ -114,6 +116,8 @@ struct Hyper
 
     /** Seed for all stochastic components of a training run. */
     std::uint64_t seed = 42;
+
+    bool operator==(const Hyper &) const = default;
 };
 
 } // namespace swiftrl::rlcore

@@ -60,6 +60,8 @@ struct RetryPolicy
             b *= backoffMultiplier;
         return b;
     }
+
+    bool operator==(const RetryPolicy &) const = default;
 };
 
 /**

@@ -195,6 +195,8 @@ struct SessionConfig
      * job transitively parents up to the fleet job. Observation-only.
      */
     std::uint64_t traceParent = 0;
+
+    bool operator==(const SessionConfig &) const = default;
 };
 
 /**

@@ -2,8 +2,7 @@
  * @file
  * The command-stream engine and its event timeline:
  *
- *  - the blocking PimSystem API is a thin wrapper over the default
- *    stream, so its calls land on a timeline of contiguous,
+ *  - a stream's commands land on its timeline as contiguous,
  *    non-overlapping intervals whose durations sum to sync();
  *  - the timing-only gather charges exactly what the functional one
  *    does (and validates the range the same way);
@@ -64,24 +63,26 @@ bytesOf(std::span<const std::uint8_t> view)
     return {view.begin(), view.end()};
 }
 
-TEST(CommandStream, BlockingWrapperRecordsContiguousTimeline)
+TEST(CommandStream, CommandsRecordAContiguousTimeline)
 {
     auto system = makeSystem(4);
+    CommandStream stream(system);
     const auto payload = pattern(256, 1);
 
     std::vector<std::span<const std::uint8_t>> chunks(
         4, std::span<const std::uint8_t>(payload));
     double summed = 0.0;
-    summed += system.pushChunks(4096, chunks);
-    summed += system.pushBroadcast(0, payload);
-    summed += system.launch(
-        [](swiftrl::pimsim::KernelContext &ctx) {
-            ctx.aluOps(100);
-        });
-    std::vector<std::vector<std::uint8_t>> out;
-    summed += system.gather(0, payload.size(), out);
+    summed += stream.pushChunks(4096, chunks);
+    summed += stream.pushBroadcast(0, payload);
+    summed += stream
+                  .launch([](swiftrl::pimsim::KernelContext &ctx) {
+                      ctx.aluOps(100);
+                  })
+                  .seconds;
+    std::vector<std::span<const std::uint8_t>> out;
+    summed += stream.gather(0, payload.size(), out).seconds;
 
-    const auto &timeline = system.defaultStream().timeline();
+    const auto &timeline = stream.timeline();
     ASSERT_EQ(timeline.size(), 4u);
     const auto &events = timeline.events();
 
@@ -100,11 +101,11 @@ TEST(CommandStream, BlockingWrapperRecordsContiguousTimeline)
     EXPECT_DOUBLE_EQ(total, summed);
 
     // sync() closes the interval spanning all four commands.
-    EXPECT_DOUBLE_EQ(system.defaultStream().sync(), total);
-    EXPECT_DOUBLE_EQ(system.defaultStream().sync(), 0.0);
-    EXPECT_DOUBLE_EQ(system.defaultStream().now(), total);
+    EXPECT_DOUBLE_EQ(stream.sync(), total);
+    EXPECT_DOUBLE_EQ(stream.sync(), 0.0);
+    EXPECT_DOUBLE_EQ(stream.now(), total);
 
-    // Each wrapper mapped to its phase, in call order.
+    // Each command mapped to its phase, in call order.
     EXPECT_EQ(events[0].phase, Phase::Scatter);
     EXPECT_EQ(events[1].phase, Phase::Broadcast);
     EXPECT_EQ(events[2].phase, Phase::Kernel);
@@ -112,7 +113,7 @@ TEST(CommandStream, BlockingWrapperRecordsContiguousTimeline)
 
     // The gathered payload round-tripped through MRAM.
     ASSERT_EQ(out.size(), 4u);
-    EXPECT_EQ(out[2], payload);
+    EXPECT_EQ(bytesOf(out[2]), payload);
 }
 
 TEST(CommandStream, TimedGatherChargesExactlyTheFunctionalCost)
@@ -393,7 +394,7 @@ TEST(CommandStreamGather, DeadCoreGetsAnEmptyView)
         {swiftrl::pimsim::FaultKind::PermanentDropout, /*site=*/0,
          /*dpu=*/1}};
     PimSystem system(cfg);
-    CommandStream &stream = system.defaultStream();
+    CommandStream stream(system);
     const auto payload = pattern(32, 9);
     stream.pushBroadcast(0, payload);
     const auto launched = stream.launch(
@@ -407,15 +408,6 @@ TEST(CommandStreamGather, DeadCoreGetsAnEmptyView)
     EXPECT_TRUE(out[1].empty());
     EXPECT_EQ(bytesOf(out[0]), payload);
     EXPECT_EQ(bytesOf(out[2]), payload);
-
-    // The blocking API copies out of the views: the dead core's
-    // entry is a zero-filled payload of the gathered size.
-    std::vector<std::vector<std::uint8_t>> copies;
-    system.gather(0, payload.size(), copies);
-    ASSERT_EQ(copies.size(), 3u);
-    EXPECT_EQ(copies[0], payload);
-    EXPECT_EQ(copies[1], std::vector<std::uint8_t>(payload.size(), 0));
-    EXPECT_EQ(copies[2], payload);
 }
 
 TEST(CommandStreamGather, ChargesWhatTheTimedGatherCharges)

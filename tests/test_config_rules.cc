@@ -1,83 +1,155 @@
-// One rule set, three surfaces: every bad session value is rejected
-// with the same reason by the C ABI (SWIFTRL_ERR_PARSE, the process
+// One parameter table, three surfaces: every training input is
+// accepted or rejected the same way — with the same reason after the
+// surface's prefix — by the C ABI (SWIFTRL_ERR_PARSE, the process
 // lives), by the fleet job parser (at parse time, naming the job,
-// before anything is scheduled), and by the TrainerSession
-// constructor — because all three ask sessionConfigInvalidReason().
-// Plus the tau rule every surface shares: tau > episodes is one round
-// of all the episodes, never clamped or refused.
+// before anything is scheduled) and by the swiftrl_cli training flags
+// (through the readTrainParams() call the binary makes), because all
+// three read through swiftrl/train_params. Session rules are also
+// refused by the TrainerSession constructor, which asks the same
+// sessionConfigInvalidReason(). Plus the tau rule every surface
+// shares: tau > episodes is one round of all the episodes, never
+// clamped or refused.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "capi/swiftrl.h"
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "fleet/job_spec.hh"
 #include "pimsim/pim_system.hh"
 #include "swiftrl/session.hh"
 #include "swiftrl/swiftrl.hh"
+#include "swiftrl/train_params.hh"
 
 namespace {
 
 using namespace swiftrl;
 
-/** One bad value, spelled for each surface. */
+/** One rejected input, spelled as JSON members. */
 struct BadValue
 {
-    /** JSON members for params_json and the fleet job object. */
+    /** JSON members for every surface (the CLI spells them as
+     *  flags). */
     const char *json;
-    /** The same value applied to a SessionConfig. */
+    /** The same value applied to a SessionConfig; empty when the
+     *  rule is not a session rule. */
     std::function<void(SessionConfig &)> apply;
-    /** Whether the fleet job schema has these keys. */
-    bool inFleetSchema;
     /** The reason every surface must report. */
     const char *reason;
 };
 
 const BadValue kBadValues[] = {
     {R"("tasklets": 0)", [](SessionConfig &c) { c.tasklets = 0; },
-     true, "UPMEM DPUs support 1-24 tasklets, got 0"},
+     "UPMEM DPUs support 1-24 tasklets, got 0"},
     {R"("tasklets": 25)", [](SessionConfig &c) { c.tasklets = 25; },
-     true, "UPMEM DPUs support 1-24 tasklets, got 25"},
+     "UPMEM DPUs support 1-24 tasklets, got 25"},
     {R"("tasklets": 30)", [](SessionConfig &c) { c.tasklets = 30; },
-     true, "UPMEM DPUs support 1-24 tasklets, got 30"},
+     "UPMEM DPUs support 1-24 tasklets, got 30"},
     // Past unsigned range: saturated, never wrapped round to 1.
     {R"("tasklets": 4294967297)",
-     [](SessionConfig &c) { c.tasklets = 4294967295u; }, true,
+     [](SessionConfig &c) { c.tasklets = 4294967295u; },
      "UPMEM DPUs support 1-24 tasklets, got 4294967295"},
-    {R"("tau": 0)", [](SessionConfig &c) { c.tau = 0; }, true,
+    {R"("tau": 0)", [](SessionConfig &c) { c.tau = 0; },
      "synchronisation period tau must be positive, got 0"},
     {R"("episodes": 0)",
-     [](SessionConfig &c) { c.hyper.episodes = 0; }, true,
+     [](SessionConfig &c) { c.hyper.episodes = 0; },
      "episode count must be positive, got 0"},
     {R"("stride": 0)", [](SessionConfig &c) { c.hyper.stride = 0; },
-     false, "sampling stride must be positive, got 0"},
+     "sampling stride must be positive, got 0"},
     {R"("block_transitions": 0)",
-     [](SessionConfig &c) { c.blockTransitions = 0; }, false,
+     [](SessionConfig &c) { c.blockTransitions = 0; },
      "staging block must hold at least one transition"},
     {R"("epsilon_decay": 0)",
-     [](SessionConfig &c) { c.epsilonDecay = 0.0f; }, false,
+     [](SessionConfig &c) { c.epsilonDecay = 0.0f; },
      "epsilon decay must be in (0, 1], got 0"},
     {R"("epsilon_decay": 1.5)",
-     [](SessionConfig &c) { c.epsilonDecay = 1.5f; }, false,
+     [](SessionConfig &c) { c.epsilonDecay = 1.5f; },
      "epsilon decay must be in (0, 1], got 1.5"},
     {R"("shards": 2, "weighted": true)",
      [](SessionConfig &c) {
          c.shards = 2;
          c.weightedAggregation = true;
      },
-     false,
      "sharded Q-tables do not support visit-weighted aggregation"},
+    // Rules on the rest of the table.
+    {R"("env": "nosuch")", {},
+     "unknown environment 'nosuch'; known: frozenlake, "
+     "frozenlake-det, taxi, cliffwalking, lake:<side>[:det], "
+     "mptaxi:<side>x<P>"},
+    {R"("transitions": 0)", {}, "\"transitions\" must be >= 1"},
+    {R"("cores": 0)", {}, "\"cores\" must be >= 1"},
+    {R"("cores": -1)", {}, "\"cores\" must not be negative, got -1"},
+    {R"("seed": -1)", {}, "\"seed\" must not be negative, got -1"},
+    {R"("host_threads": -2)", {},
+     "\"host_threads\" must not be negative, got -2"},
+    {R"("algo": "dqn")", {}, "\"algo\" must be qlearning or sarsa"},
+    {R"("format": "fp64")", {},
+     "\"format\" must be fp32, int32, or int8"},
+    {R"("episodes": "many")", {}, "\"episodes\" must be a number"},
+    {R"("env": "lake:64", "shards": 3, "cores": 2)", {},
+     "\"shards\": more shards (3) than cores (2); every shard needs "
+     "at least one replica core"},
 };
 
-/** Name the row in gtest output by its JSON spelling. */
+/** One accepted input and the TrainParams every surface must
+ *  produce from it. */
+struct GoodValue
+{
+    const char *json;
+    std::function<void(TrainParams &)> expect;
+};
+
+const GoodValue kGoodValues[] = {
+    // No training keys: the table's defaults, on every surface.
+    {"", [](TrainParams &) {}},
+    // Saturated at INT_MAX, never wrapped to 2 / 1.
+    {R"("episodes": 4294967298)",
+     [](TrainParams &p) { p.session.hyper.episodes = INT_MAX; }},
+    {R"("tau": 4294967297)",
+     [](TrainParams &p) { p.session.tau = INT_MAX; }},
+    // rlcore's spellings everywhere.
+    {R"("algo": "Q")",
+     [](TrainParams &p) {
+         p.session.workload.algo = rlcore::Algorithm::QLearning;
+     }},
+    {R"("algo": "SARSA", "sampling": "Ran")",
+     [](TrainParams &p) {
+         p.session.workload.algo = rlcore::Algorithm::Sarsa;
+         p.session.workload.sampling = rlcore::Sampling::Ran;
+     }},
+    {R"("format": "int8")",
+     [](TrainParams &p) {
+         p.session.workload.format = rlcore::NumericFormat::Int8;
+     }},
+    // seed trains, collect_seed collects: no derived seeds.
+    {R"("seed": 7)", [](TrainParams &p) { p.session.hyper.seed = 7; }},
+    {R"("collect_seed": 9, "env": "taxi", "transitions": 300)",
+     [](TrainParams &p) {
+         p.collectSeed = 9;
+         p.env = "taxi";
+         p.transitions = 300;
+     }},
+};
+
 void
 PrintTo(const BadValue &bad, std::ostream *os)
 {
     *os << bad.json;
+}
+
+void
+PrintTo(const GoodValue &good, std::ostream *os)
+{
+    *os << "{" << good.json << "}";
 }
 
 /** @p text as a POSIX extended regex matching it literally. */
@@ -93,17 +165,129 @@ literal(const std::string &text)
     return out;
 }
 
-class BadSessionValue : public ::testing::TestWithParam<BadValue>
+json::JsonValue
+membersOf(const char *members)
+{
+    const auto doc = json::parseJson(std::string("{") + members + "}");
+    EXPECT_TRUE(doc.has_value()) << members;
+    return doc.value_or(json::JsonValue{});
+}
+
+const TrainParamKey *
+tableKey(const std::string &name)
+{
+    for (const TrainParamKey &key : trainParamTable()) {
+        if (key.name == name)
+            return &key;
+    }
+    return nullptr;
+}
+
+/** Whether @p surface has every key of @p members. */
+bool
+hasKeys(TrainSurface surface, const char *members)
+{
+    for (const auto &[name, value] : membersOf(members).members) {
+        const TrainParamKey *key = tableKey(name);
+        if (key == nullptr || !key->on(surface))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * The argv swiftrl_cli would get for @p members ("--tasklets=30"),
+ * or nullopt when a value has a type the flag parser itself refuses
+ * (a flag's text is typed by its key, so "episodes": "many" has no
+ * CLI spelling that reaches the table).
+ */
+std::optional<std::vector<std::string>>
+cliArgs(const char *members)
+{
+    std::vector<std::string> args{"swiftrl_cli"};
+    for (const auto &[name, value] : membersOf(members).members) {
+        const TrainParamKey *key = tableKey(name);
+        std::string text;
+        switch (key->type) {
+          case TrainParamType::Text:
+            if (!value.isString())
+                return std::nullopt;
+            text = value.string;
+            break;
+          case TrainParamType::Integer:
+          case TrainParamType::Number:
+            if (!value.isNumber())
+                return std::nullopt;
+            text = json::jsonNumber(value.number);
+            break;
+          case TrainParamType::Flag:
+            if (!value.isBool())
+                return std::nullopt;
+            text = value.boolean ? "true" : "false";
+            break;
+        }
+        std::string flag(name);
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        args.push_back("--" + flag + "=" + text);
+    }
+    return args;
+}
+
+/** The CLI column: the binary's own readTrainParams(flags) call. */
+std::string
+readCli(const std::vector<std::string> &args, TrainParams &params)
+{
+    std::vector<char *> argv;
+    for (const std::string &arg : args)
+        argv.push_back(const_cast<char *>(arg.c_str()));
+    const common::CliFlags flags(static_cast<int>(argv.size()),
+                                 argv.data(), trainParamFlags());
+    return readTrainParams(flags, params);
+}
+
+/** The C ABI column for accepted rows: the call
+ *  swiftrl_session_create makes after its JSON-shape check (creating
+ *  a session would go on to collect a dataset and build a machine). */
+std::string
+readCApi(const char *members, TrainParams &params)
+{
+    return readTrainParams(membersOf(members), TrainSurface::CApi,
+                           params);
+}
+
+std::string
+fleetSpec(const char *members)
+{
+    std::string job = R"({"id": "bad", "tenant": "t")";
+    if (*members != '\0')
+        job += std::string(", ") + members;
+    return R"({"jobs": [)" + job + "}]}";
+}
+
+/** The fleet column: the parsed job's training fields. */
+TrainParams
+readFleet(const char *members)
+{
+    const auto spec = fleet::parseFleetSpec(fleetSpec(members));
+    const fleet::JobSpec &job = spec.jobs.at(0);
+    TrainParams params;
+    params.env = job.env;
+    params.transitions = job.transitions;
+    params.collectSeed = job.collectSeed;
+    params.session = fleet::sessionConfigFor(job);
+    return params;
+}
+
+// --- rejected inputs ---------------------------------------------------
+
+class BadTrainValue : public ::testing::TestWithParam<BadValue>
 {
 };
 
-TEST_P(BadSessionValue, CApiReturnsParseErrorWithTheReason)
+TEST_P(BadTrainValue, CApiReturnsParseErrorWithTheReason)
 {
     const BadValue &bad = GetParam();
-    const std::string params =
-        std::string(R"({"env": "frozenlake", "cores": 4, )"
-                    R"("transitions": 64, )") +
-        bad.json + "}";
+    const std::string params = std::string("{") + bad.json + "}";
     swiftrl_session *session = nullptr;
     EXPECT_EQ(swiftrl_session_create(params.c_str(), &session),
               SWIFTRL_ERR_PARSE);
@@ -113,26 +297,31 @@ TEST_P(BadSessionValue, CApiReturnsParseErrorWithTheReason)
               std::string("params_json: ") + bad.reason);
 }
 
-/** The fleet job schema spells only some session keys (tau,
- *  episodes, tasklets); the other rows have no fleet spelling. */
-class FleetBadSessionValue : public BadSessionValue
-{
-};
-
-TEST_P(FleetBadSessionValue, FleetParserRejectsTheJobAtParseTime)
+TEST_P(BadTrainValue, FleetParserRejectsTheJobAtParseTime)
 {
     const BadValue &bad = GetParam();
-    const std::string spec =
-        std::string(R"({"jobs": [{"id": "bad", "tenant": "t", )") +
-        bad.json + "}]}";
-    EXPECT_DEATH(fleet::parseFleetSpec(spec),
+    if (!hasKeys(TrainSurface::Fleet, bad.json))
+        GTEST_SKIP() << "no fleet spelling";
+    EXPECT_DEATH(fleet::parseFleetSpec(fleetSpec(bad.json)),
                  literal(std::string("fleet spec: job \"bad\": ") +
                          bad.reason));
 }
 
-TEST_P(BadSessionValue, TrainerSessionConstructorRefusesIt)
+TEST_P(BadTrainValue, CliFlagsReturnTheReason)
 {
     const BadValue &bad = GetParam();
+    const auto args = cliArgs(bad.json);
+    if (!hasKeys(TrainSurface::Cli, bad.json) || !args)
+        GTEST_SKIP() << "no CLI spelling";
+    TrainParams params;
+    EXPECT_EQ(readCli(*args, params), bad.reason);
+}
+
+TEST_P(BadTrainValue, TrainerSessionConstructorRefusesIt)
+{
+    const BadValue &bad = GetParam();
+    if (!bad.apply)
+        GTEST_SKIP() << "not a session rule";
     pimsim::PimConfig pim;
     pim.numDpus = 4;
     pimsim::PimSystem system(pim);
@@ -141,21 +330,89 @@ TEST_P(BadSessionValue, TrainerSessionConstructorRefusesIt)
     EXPECT_DEATH(TrainerSession(system, cfg), literal(bad.reason));
 }
 
-std::vector<BadValue>
-fleetRows()
+INSTANTIATE_TEST_SUITE_P(Rules, BadTrainValue,
+                         ::testing::ValuesIn(kBadValues));
+
+// --- accepted inputs ---------------------------------------------------
+
+class GoodTrainValue : public ::testing::TestWithParam<GoodValue>
 {
-    std::vector<BadValue> rows;
-    for (const BadValue &bad : kBadValues) {
-        if (bad.inFleetSchema)
-            rows.push_back(bad);
+  protected:
+    TrainParams
+    expected() const
+    {
+        TrainParams params;
+        GetParam().expect(params);
+        return params;
     }
-    return rows;
+};
+
+TEST_P(GoodTrainValue, CApiReadsIt)
+{
+    TrainParams params;
+    EXPECT_EQ(readCApi(GetParam().json, params), "");
+    EXPECT_EQ(params, expected());
 }
 
-INSTANTIATE_TEST_SUITE_P(Rules, BadSessionValue,
-                         ::testing::ValuesIn(kBadValues));
-INSTANTIATE_TEST_SUITE_P(Rules, FleetBadSessionValue,
-                         ::testing::ValuesIn(fleetRows()));
+TEST_P(GoodTrainValue, FleetReadsIt)
+{
+    ASSERT_TRUE(hasKeys(TrainSurface::Fleet, GetParam().json));
+    EXPECT_EQ(readFleet(GetParam().json), expected());
+}
+
+TEST_P(GoodTrainValue, CliReadsIt)
+{
+    const auto args = cliArgs(GetParam().json);
+    ASSERT_TRUE(hasKeys(TrainSurface::Cli, GetParam().json) && args);
+    TrainParams params;
+    EXPECT_EQ(readCli(*args, params), "");
+    EXPECT_EQ(params, expected());
+}
+
+INSTANTIATE_TEST_SUITE_P(Rules, GoodTrainValue,
+                         ::testing::ValuesIn(kGoodValues));
+
+// --- surface key lists -------------------------------------------------
+
+TEST(TrainParamKeys, EachSurfaceRejectsKeysOutsideItsList)
+{
+    TrainParams params;
+    EXPECT_EQ(readCApi(R"("episods": 5)", params),
+              "unknown key \"episods\"");
+    EXPECT_DEATH(fleet::parseFleetSpec(fleetSpec(R"("cores": 4)")),
+                 literal("fleet spec: job \"bad\": unknown key "
+                         "\"cores\""));
+    EXPECT_EQ(readTrainParams(membersOf(R"("stride": 2)"),
+                              TrainSurface::Cli, params),
+              "unknown key \"stride\"");
+}
+
+TEST(TrainParamKeys, CliFlagsAreTheCliKeysSpelledWithDashes)
+{
+    std::vector<std::string> expected;
+    for (const TrainParamKey &key : trainParamTable()) {
+        if (!key.on(TrainSurface::Cli))
+            continue;
+        std::string flag(key.name);
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        expected.push_back(flag);
+    }
+    EXPECT_EQ(trainParamFlags(), expected);
+    EXPECT_NE(std::find(expected.begin(), expected.end(), "host-threads"),
+              expected.end());
+}
+
+TEST(TrainParamKeys, JobSpecDefaultsAreTheTables)
+{
+    const fleet::JobSpec job;
+    const TrainParams params;
+    EXPECT_EQ(job.env, params.env);
+    EXPECT_EQ(job.transitions, params.transitions);
+    EXPECT_EQ(job.collectSeed, params.collectSeed);
+    EXPECT_EQ(fleet::sessionConfigFor(job), params.session);
+}
+
+// --- tau ---------------------------------------------------------------
 
 TEST(TauRule, TauPastTheEpisodeBudgetIsOneRoundOfAllOfThem)
 {

@@ -21,6 +21,7 @@
 #include "rlcore/dataset.hh"
 #include "rlenv/registry.hh"
 #include "swiftrl/session.hh"
+#include "swiftrl/train_params.hh"
 #include "telemetry/metric_registry.hh"
 
 namespace {
@@ -119,10 +120,10 @@ TEST(FleetSpec, ParsesFleetTenantsAndJobs)
     EXPECT_FLOAT_EQ(a.hyper.alpha, 0.2f);
     EXPECT_FLOAT_EQ(a.hyper.gamma, 0.9f);
     EXPECT_FLOAT_EQ(a.hyper.epsilon, 0.1f);
-    // Seed discipline matches swiftrl_cli: collect = seed,
-    // train = seed + 41.
-    EXPECT_EQ(a.collectSeed, 7u);
-    EXPECT_EQ(a.hyper.seed, 48u);
+    // "seed" trains on every surface; collection keeps the table's
+    // default collect_seed.
+    EXPECT_EQ(a.hyper.seed, 7u);
+    EXPECT_EQ(a.collectSeed, swiftrl::TrainParams{}.collectSeed);
 
     const auto &b = spec.jobs[1];
     EXPECT_EQ(b.minRanks, 0u);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+
 #include "common/json.hh"
 
 namespace {
@@ -50,7 +53,7 @@ TEST(JsonParse, ScalarsAndNesting)
     ASSERT_TRUE(doc->isObject());
     EXPECT_DOUBLE_EQ(doc->numberOr("a", 0.0), 1.5);
     EXPECT_EQ(doc->stringOr("b", ""), "two");
-    EXPECT_TRUE(doc->boolOr("c", false));
+    EXPECT_TRUE(doc->find("c")->boolean);
     ASSERT_NE(doc->find("d"), nullptr);
     EXPECT_TRUE(doc->find("d")->isNull());
     ASSERT_NE(doc->find("e"), nullptr);
@@ -89,6 +92,20 @@ TEST(JsonParse, NumberForms)
     EXPECT_DOUBLE_EQ(doc->numberOr("exp", 0.0), 2000.0);
 }
 
+TEST(JsonParse, IntegersSaturateInsteadOfWrapping)
+{
+    using swiftrl::json::saturate;
+    EXPECT_EQ(saturate<unsigned>(4294967297.0), UINT_MAX);
+    EXPECT_EQ(saturate<int>(4294967298.0), INT_MAX);
+    EXPECT_EQ(saturate<int>(-1e300), INT_MIN);
+    EXPECT_EQ(saturate<int>(2.7), 2);
+    EXPECT_EQ(saturate<std::uint64_t>(1e30), UINT64_MAX);
+    const auto doc = parseJson(R"({"big": 1e300, "small": -1e300})");
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->intOr("big", 0), LONG_MAX);
+    EXPECT_EQ(doc->intOr("small", 0), LONG_MIN);
+}
+
 TEST(JsonParse, DuplicateKeysLastWins)
 {
     const auto doc = parseJson(R"({"k": 1, "k": 2})");
@@ -105,7 +122,6 @@ TEST(JsonParse, HelpersFallBackOnMissingOrMistyped)
     EXPECT_DOUBLE_EQ(doc->numberOr("absent", 1.5), 1.5);
     EXPECT_DOUBLE_EQ(doc->numberOr("s", 1.5), 1.5);
     EXPECT_EQ(doc->stringOr("n", "fb"), "fb");
-    EXPECT_TRUE(doc->boolOr("n", true));
     EXPECT_EQ(doc->find("absent"), nullptr);
 }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the PIM system host API and the transfer timing model.
+ * Tests for the PIM system, driven through an explicit CommandStream,
+ * and the transfer timing model.
  */
 
 #include <gtest/gtest.h>
@@ -8,11 +9,13 @@
 #include <numeric>
 #include <vector>
 
+#include "pimsim/command_stream.hh"
 #include "pimsim/pim_system.hh"
 #include "pimsim/transfer_model.hh"
 
 namespace {
 
+using swiftrl::pimsim::CommandStream;
 using swiftrl::pimsim::KernelContext;
 using swiftrl::pimsim::OpClass;
 using swiftrl::pimsim::PimConfig;
@@ -88,7 +91,7 @@ TEST(PimSystem, PushChunksDeliversDistinctPayloads)
         payloads[i].assign(16, static_cast<std::uint8_t>(i + 1));
         spans[i] = payloads[i];
     }
-    const double t = sys.pushChunks(0, spans);
+    const double t = CommandStream(sys).pushChunks(0, spans);
     EXPECT_GT(t, 0.0);
 
     for (std::size_t i = 0; i < 4; ++i) {
@@ -102,7 +105,7 @@ TEST(PimSystem, BroadcastReplicates)
 {
     PimSystem sys(smallConfig(3));
     const std::vector<std::uint8_t> payload{0xaa, 0xbb};
-    sys.pushBroadcast(8, payload);
+    CommandStream(sys).pushBroadcast(8, payload);
     for (std::size_t i = 0; i < 3; ++i) {
         std::vector<std::uint8_t> out(2);
         sys.dpu(i).mramRead(8, out.data(), 2);
@@ -119,21 +122,25 @@ TEST(PimSystem, GatherRoundtripsPush)
         payloads[i].assign(8, static_cast<std::uint8_t>(0x10 * i));
         spans[i] = payloads[i];
     }
-    sys.pushChunks(0, spans);
+    CommandStream stream(sys);
+    stream.pushChunks(0, spans);
 
-    std::vector<std::vector<std::uint8_t>> out;
-    const double t = sys.gather(0, 8, out);
-    EXPECT_GT(t, 0.0);
+    std::vector<std::span<const std::uint8_t>> out;
+    const auto status = stream.gather(0, 8, out);
+    ASSERT_TRUE(status.ok());
+    EXPECT_GT(status.seconds, 0.0);
     ASSERT_EQ(out.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(out[i], payloads[i]);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(std::vector<std::uint8_t>(out[i].begin(), out[i].end()),
+                  payloads[i]);
+    }
 }
 
 TEST(PimSystem, LaunchRunsKernelOnEveryCore)
 {
     PimSystem sys(smallConfig(5));
     std::vector<int> visited(5, 0);
-    sys.launch([&](KernelContext &ctx) {
+    CommandStream(sys).launch([&](KernelContext &ctx) {
         visited[ctx.dpuId()] += 1;
     });
     for (const int v : visited)
@@ -144,14 +151,17 @@ TEST(PimSystem, LaunchTimeFollowsSlowestCore)
 {
     PimSystem sys(smallConfig(4));
     // Core 3 does 1000 fp multiplies; others do one int add.
-    const double t = sys.launch([](KernelContext &ctx) {
-        if (ctx.dpuId() == 3) {
-            for (int i = 0; i < 1000; ++i)
-                ctx.fmul(1.0f, 1.0f);
-        } else {
-            ctx.iadd(1, 1);
-        }
-    });
+    const double t =
+        CommandStream(sys)
+            .launch([](KernelContext &ctx) {
+                if (ctx.dpuId() == 3) {
+                    for (int i = 0; i < 1000; ++i)
+                        ctx.fmul(1.0f, 1.0f);
+                } else {
+                    ctx.iadd(1, 1);
+                }
+            })
+            .seconds;
     const auto &model = sys.config().costModel;
     const double expected =
         sys.config().launchOverheadSec +
@@ -164,7 +174,7 @@ TEST(PimSystem, LaunchTimeFollowsSlowestCore)
 TEST(PimSystem, TotalCyclesSumsCores)
 {
     PimSystem sys(smallConfig(3));
-    sys.launch([](KernelContext &ctx) { ctx.iadd(1, 1); });
+    CommandStream(sys).launch([](KernelContext &ctx) { ctx.iadd(1, 1); });
     const auto &model = sys.config().costModel;
     EXPECT_EQ(sys.totalCycles(),
               3 * model.cyclesFor(OpClass::IntAlu));
@@ -173,7 +183,7 @@ TEST(PimSystem, TotalCyclesSumsCores)
 TEST(PimSystem, ResetStatsClearsClocks)
 {
     PimSystem sys(smallConfig(2));
-    sys.launch([](KernelContext &ctx) { ctx.fadd(1, 1); });
+    CommandStream(sys).launch([](KernelContext &ctx) { ctx.fadd(1, 1); });
     EXPECT_GT(sys.maxCycles(), 0u);
     sys.resetStats();
     EXPECT_EQ(sys.maxCycles(), 0u);
@@ -192,7 +202,7 @@ TEST(PimSystemDeath, WrongPayloadCountPanics)
 {
     PimSystem sys(smallConfig(2));
     std::vector<std::span<const std::uint8_t>> spans(1);
-    EXPECT_DEATH((void)sys.pushChunks(0, spans),
+    EXPECT_DEATH((void)CommandStream(sys).pushChunks(0, spans),
                  "one payload per core");
 }
 

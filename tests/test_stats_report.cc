@@ -12,6 +12,7 @@
 
 namespace {
 
+using swiftrl::pimsim::CommandStream;
 using swiftrl::pimsim::KernelContext;
 using swiftrl::pimsim::OpClass;
 using swiftrl::pimsim::PimConfig;
@@ -41,7 +42,7 @@ TEST(StatsReport, EmptySystemIsAllZero)
 TEST(StatsReport, CountsRetiredOpsExactly)
 {
     auto system = smallSystem(2);
-    system.launch([](KernelContext &ctx) {
+    CommandStream(system).launch([](KernelContext &ctx) {
         ctx.fmul(1.0f, 2.0f);
         ctx.fmul(1.0f, 2.0f);
         ctx.iadd(1, 2);
@@ -57,7 +58,7 @@ TEST(StatsReport, CountsRetiredOpsExactly)
 TEST(StatsReport, CycleSharesSumToOne)
 {
     auto system = smallSystem(1);
-    system.launch([](KernelContext &ctx) {
+    CommandStream(system).launch([](KernelContext &ctx) {
         ctx.fadd(1, 2);
         ctx.fmul(1, 2);
         ctx.iadd(1, 2);
@@ -75,7 +76,7 @@ TEST(StatsReport, CycleSharesSumToOne)
 TEST(StatsReport, ImbalanceDetectsSkewedLoad)
 {
     auto system = smallSystem(2);
-    system.launch([](KernelContext &ctx) {
+    CommandStream(system).launch([](KernelContext &ctx) {
         const int reps = ctx.dpuId() == 0 ? 30 : 10;
         for (int i = 0; i < reps; ++i)
             ctx.iadd(1, 1);
@@ -88,7 +89,7 @@ TEST(StatsReport, ImbalanceDetectsSkewedLoad)
 TEST(StatsReport, DmaBytesAndIntensity)
 {
     auto system = smallSystem(1);
-    system.launch([](KernelContext &ctx) {
+    CommandStream(system).launch([](KernelContext &ctx) {
         std::uint8_t buf[64];
         ctx.mramToWram(0, buf, 64);
         for (int i = 0; i < 128; ++i)
@@ -128,7 +129,7 @@ TEST(StatsReport, Fp32KernelDominatedBySoftfloat)
 TEST(StatsReport, PrintRendersAllSections)
 {
     auto system = smallSystem(1);
-    system.launch([](KernelContext &ctx) { ctx.fadd(1, 2); });
+    CommandStream(system).launch([](KernelContext &ctx) { ctx.fadd(1, 2); });
     const auto r = StatsReport::fromSystem(system);
     std::ostringstream oss;
     r.print(oss, "Test report");

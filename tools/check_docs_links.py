@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Check that the repository's markdown documentation is self-consistent.
+"""Check that the repository's documentation is self-consistent.
 
-Three classes of reference are verified, stdlib only:
+Four classes of reference are verified, stdlib only:
 
  1. relative markdown links ``[text](path)`` and ``[text](path#anchor)``
     must resolve to an existing file or directory (http(s)/mailto links
@@ -17,13 +17,19 @@ Three classes of reference are verified, stdlib only:
     directory, so renaming a bench or test without updating the docs
     fails CI. Extensionless references (``bench/ablation_tau``,
     ``src/rlcore/mdp``) name a built binary or a module and resolve if
-    a source file with that stem exists.
+    a source file with that stem exists;
+ 4. the training-parameter key lists: the rows of the table in
+    ``src/swiftrl/train_params.cc`` must be exactly the ``params_json``
+    keys listed in ``capi/swiftrl.h``, and the table's fleet subset
+    plus the fleet's own job keys (``kJobKeys`` in
+    ``src/fleet/job_spec.cc``) exactly the key column of the ``jobs``
+    table in ``docs/SCHEDULER.md``.
 
 Machine-provided inputs (PAPER.md, PAPERS.md, SNIPPETS.md, ISSUE.md)
 are not checked — their content is retrieved, not authored here.
 
-Exit status 0 when everything resolves, 1 otherwise (one line per
-broken reference).
+Exit status 0 when everything resolves and the key lists agree, 1
+otherwise (one line per problem).
 """
 
 import pathlib
@@ -120,16 +126,78 @@ def check_file(md):
     return errors
 
 
+# row("env", kEvery, ...): the key and its surface mask expression.
+TABLE_ROW = re.compile(r'row\(\s*"(\w+)",\s*([\w\s|]+?),')
+SURFACE_BITS = {"0": set(), "kCliKey": {"cli"}, "kFleetKey": {"fleet"},
+                "kEvery": {"cli", "fleet"}}
+
+
+def train_param_rows():
+    """{key: surfaces beyond the C ABI} from the parameter table."""
+    text = (REPO / "src/swiftrl/train_params.cc").read_text()
+    rows = {}
+    for key, mask in TABLE_ROW.findall(text):
+        rows[key] = set().union(
+            *(SURFACE_BITS[bit.strip()] for bit in mask.split("|")))
+    return rows
+
+
+def capi_header_keys():
+    """The "key" lines of the params_json list in capi/swiftrl.h."""
+    text = (REPO / "capi/swiftrl.h").read_text()
+    block = text.split("Training params_json keys", 1)[1]
+    block = block.split("serving_json keys", 1)[0]
+    return set(re.findall(r'^ \*   "(\w+)"', block, re.MULTILINE))
+
+
+def scheduler_job_keys():
+    """The backticked keys of the jobs table in docs/SCHEDULER.md."""
+    text = (REPO / "docs/SCHEDULER.md").read_text()
+    section = text.split("### `jobs`", 1)[1].split("\n#", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return keys
+
+
+def fleet_own_keys():
+    """kJobKeys: the job keys src/fleet/job_spec.cc reads itself."""
+    text = (REPO / "src/fleet/job_spec.cc").read_text()
+    body = re.search(r"kJobKeys\s*=\s*\{(.*?)\}", text, re.DOTALL)
+    return set(re.findall(r'"(\w+)"', body.group(1)))
+
+
+def check_param_keys():
+    rows = train_param_rows()
+    errors = []
+    if not rows:
+        return ["src/swiftrl/train_params.cc: no parameter rows found"]
+
+    def compare(where, documented, expected):
+        for key in sorted(expected - documented):
+            errors.append(f"{where}: key \"{key}\" missing")
+        for key in sorted(documented - expected):
+            errors.append(f"{where}: key \"{key}\" is not in the table")
+
+    compare("capi/swiftrl.h", capi_header_keys(), set(rows))
+    fleet = {key for key, surfaces in rows.items() if "fleet" in surfaces}
+    compare("docs/SCHEDULER.md jobs table", scheduler_job_keys(),
+            fleet | fleet_own_keys())
+    return errors
+
+
 def main():
     errors = []
     count = 0
     for md in markdown_files():
         count += 1
         errors.extend(check_file(md))
+    errors.extend(check_param_keys())
     for line in errors:
         print(line)
     print(f"checked {count} markdown files: "
-          f"{'OK' if not errors else f'{len(errors)} broken reference(s)'}")
+          f"{'OK' if not errors else f'{len(errors)} problem(s)'}")
     return 1 if errors else 0
 
 
