@@ -40,9 +40,9 @@
  *   "algo"              qlearning (or q) | sarsa        (qlearning)
  *   "sampling"          seq | ran | str                       (seq)
  *   "format"            fp32 | int32 | int8                  (fp32)
- *   "alpha"             learning rate                         (0.1)
- *   "gamma"             discount factor                      (0.95)
- *   "epsilon"           SARSA exploration rate               (0.05)
+ *   "alpha"             learning rate, in (0, 1]              (0.1)
+ *   "gamma"             discount factor, in [0, 1]           (0.95)
+ *   "epsilon"           SARSA exploration rate, in [0, 1]    (0.05)
  *   "episodes"          episode budget                       (2000)
  *   "stride"            STR sampling stride                     (4)
  *   "seed"              training seed                          (42)
@@ -56,8 +56,10 @@
  * wrong JSON types and unknown keys are SWIFTRL_ERR_PARSE.
  *
  * Serving serving_json keys (both optional; NULL json = defaults):
- *   "max_batch"      queries per batch                 (default 64)
- *   "max_wait_sec"   partial-batch flush deadline  (default 100e-6)
+ *   "max_batch"      queries per batch, >= 1           (default 64)
+ *   "max_wait_sec"   partial-batch flush deadline, >= 0
+ *                                                  (default 100e-6)
+ * A non-number value or an unknown key is SWIFTRL_ERR_PARSE.
  */
 
 #ifndef SWIFTRL_CAPI_SWIFTRL_H

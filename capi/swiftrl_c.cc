@@ -345,24 +345,30 @@ swiftrl_policy_load(const char *q_table_path,
         if (!doc->isObject())
             return fail(SWIFTRL_ERR_PARSE,
                         "serving_json must be a JSON object");
+        // Typed like the training table: a value of the wrong JSON
+        // type is refused, never replaced by the default.
         for (const auto &[key, value] : doc->members) {
+            const std::string name = "serving_json: \"" + key + "\"";
             if (key != "max_batch" && key != "max_wait_sec")
                 return fail(SWIFTRL_ERR_PARSE,
                             "serving_json: unknown key \"" + key +
                                 "\"");
+            if (!value.isNumber())
+                return fail(SWIFTRL_ERR_PARSE,
+                            name + " must be a number");
+            if (key == "max_batch") {
+                if (!(value.number >= 1.0))
+                    return fail(SWIFTRL_ERR_PARSE,
+                                name + " must be >= 1");
+                config.maxBatch =
+                    swiftrl::json::saturate<std::size_t>(value.number);
+            } else {
+                if (!(value.number >= 0.0))
+                    return fail(SWIFTRL_ERR_PARSE,
+                                name + " must be >= 0");
+                config.maxWaitSec = value.number;
+            }
         }
-        const long max_batch = doc->intOr("max_batch", 64);
-        const double max_wait =
-            doc->numberOr("max_wait_sec", 100e-6);
-        if (max_batch < 1)
-            return fail(SWIFTRL_ERR_PARSE,
-                        "serving_json: \"max_batch\" must be >= 1");
-        if (max_wait < 0.0)
-            return fail(SWIFTRL_ERR_PARSE,
-                        "serving_json: \"max_wait_sec\" must be "
-                        ">= 0");
-        config.maxBatch = static_cast<std::size_t>(max_batch);
-        config.maxWaitSec = max_wait;
     }
 
     std::string reason;

@@ -116,27 +116,41 @@ CommandStream::pokeChunks(
 {
     auto &dpus = _system._dpus;
     SWIFTRL_ASSERT(per_dpu.size() == dpus.size(),
-                   "pokeChunks needs exactly one payload per core");
-    for (std::size_t i = 0; i < per_dpu.size(); ++i) {
-        if (_dead[i])
-            continue;
-        const auto &payload = per_dpu[i];
-        if (!payload.empty())
-            dpus[i].mramWrite(offset, payload.data(), payload.size());
-    }
+                   "one payload per core expected");
+    // One work item per core: each writes only its own bank.
+    _system.hostPool().parallelFor(
+        dpus.size(), [&](std::size_t i, unsigned) {
+            const auto &payload = per_dpu[i];
+            if (!_dead[i] && !payload.empty())
+                dpus[i].mramWrite(offset, payload.data(),
+                                  payload.size());
+        });
 }
 
 void
 CommandStream::pokeBroadcast(std::size_t offset,
                              std::span<const std::uint8_t> payload)
 {
+    if (payload.empty())
+        return;
     auto &dpus = _system._dpus;
-    for (std::size_t i = 0; i < dpus.size(); ++i) {
-        if (_dead[i])
-            continue;
-        if (!payload.empty())
-            dpus[i].mramWrite(offset, payload.data(), payload.size());
-    }
+    _system.hostPool().parallelFor(
+        dpus.size(), [&](std::size_t i, unsigned) {
+            if (!_dead[i])
+                dpus[i].mramWrite(offset, payload.data(),
+                                  payload.size());
+        });
+}
+
+void
+CommandStream::reserveMram(std::size_t bytes)
+{
+    auto &dpus = _system._dpus;
+    _system.hostPool().parallelFor(
+        dpus.size(), [&](std::size_t i, unsigned) {
+            if (!_dead[i])
+                dpus[i].mramReserve(bytes);
+        });
 }
 
 void
@@ -183,17 +197,11 @@ CommandStream::pushChunks(
     const std::vector<std::span<const std::uint8_t>> &per_dpu,
     TimeBucket bucket, std::string_view label)
 {
-    auto &dpus = _system._dpus;
-    SWIFTRL_ASSERT(per_dpu.size() == dpus.size(),
-                   "pushChunks needs exactly one payload per core");
+    pokeChunks(offset, per_dpu);
     std::size_t max_bytes = 0;
     for (std::size_t i = 0; i < per_dpu.size(); ++i) {
-        if (_dead[i])
-            continue;
-        const auto &payload = per_dpu[i];
-        if (!payload.empty())
-            dpus[i].mramWrite(offset, payload.data(), payload.size());
-        max_bytes = std::max(max_bytes, payload.size());
+        if (!_dead[i])
+            max_bytes = std::max(max_bytes, per_dpu[i].size());
     }
     const double seconds =
         _system.config().transferModel.scatterSeconds(max_bytes,
@@ -206,13 +214,7 @@ CommandStream::pushBroadcast(std::size_t offset,
                              std::span<const std::uint8_t> payload,
                              TimeBucket bucket, std::string_view label)
 {
-    auto &dpus = _system._dpus;
-    for (std::size_t i = 0; i < dpus.size(); ++i) {
-        if (_dead[i])
-            continue;
-        if (!payload.empty())
-            dpus[i].mramWrite(offset, payload.data(), payload.size());
-    }
+    pokeBroadcast(offset, payload);
     const double seconds =
         _system.config().transferModel.broadcastSeconds(
             payload.size(), _liveCount);
@@ -417,8 +419,8 @@ CommandStream::launch(const KernelFn &kernel, unsigned tasklets,
     // each touching only its own Dpu, its host worker's reusable
     // context + scratch arena, and its _effective[] slot. Dropped
     // cores run nothing and stay at their last clock.
-    _system._pool->parallelFor(n, [&](std::size_t i,
-                                      unsigned worker) {
+    _system.hostPool().parallelFor(n, [&](std::size_t i,
+                                          unsigned worker) {
         if (_dead[i])
             return;
         LaunchWorker &w = launchWorker(worker);
@@ -481,8 +483,8 @@ CommandStream::launchBatch(const BatchKernelFn &kernel,
                    std::max(1u, _system.hostThreadCount())) *
                    4);
     if (lanes > 0) {
-        _system._pool->parallelFor(chunks, [&](std::size_t c,
-                                               unsigned worker) {
+        _system.hostPool().parallelFor(chunks, [&](std::size_t c,
+                                                   unsigned worker) {
             const std::size_t begin = lanes * c / chunks;
             const std::size_t end = lanes * (c + 1) / chunks;
             if (begin == end)

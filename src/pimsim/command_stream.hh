@@ -13,7 +13,9 @@
  * Inside the engine, the functional work of a kernel launch runs on
  * the owning PimSystem's host thread pool — one work item per DPU
  * instance, which is safe because a kernel instance touches only its
- * own core's MRAM bank, WRAM accounting, and cycle clock.
+ * own core's MRAM bank, WRAM accounting, and cycle clock. The MRAM
+ * copies of scatters and broadcasts fan out over the same pool, one
+ * work item per core, for the same reason.
  * Determinism guarantee: Q-tables, cycle counts, and modelled seconds
  * are bit-identical for any pool size, including 1, because work
  * items are index-pure and every reduction (slowest-core max, cycle
@@ -280,6 +282,14 @@ class CommandStream
      */
     void pokeBroadcast(std::size_t offset,
                        std::span<const std::uint8_t> payload);
+
+    /**
+     * Size every live core's bank to hold at least [0, @p bytes)
+     * (Dpu::mramReserve), functionally only. A session sizes its
+     * banks once from its layout, so later transfers and in-place
+     * kernel views neither reallocate nor move them.
+     */
+    void reserveMram(std::size_t bytes);
 
     /**
      * Adopt a checkpointed engine position: stream clock, fault-site

@@ -53,10 +53,12 @@ class Dpu
      * Raw read-only view of MRAM bytes [offset, offset + bytes).
      * Grows the lazy buffer (zero-filled) first, so never-written
      * ranges read as zero exactly like mramRead. The pointer stays
-     * valid until a write past the current buffer end triggers
-     * growth; callers that interleave writes must re-acquire. Fatal
-     * past the bank capacity. Used by the batch interpreter and by
-     * CommandStream::gather to avoid staging copies.
+     * valid until the buffer grows — a later view, write or
+     * mramReserve reaching past its end — so callers that take
+     * several views, or interleave writes, size the bank first (or
+     * re-acquire). Fatal past the bank capacity. Used by the batch
+     * interpreter (transition records) and by CommandStream::gather
+     * to avoid staging copies.
      */
     const std::uint8_t *
     mramView(std::size_t offset, std::size_t bytes)
@@ -64,6 +66,27 @@ class Dpu
         ensure(offset + bytes);
         return _mram.data() + offset;
     }
+
+    /**
+     * Writable view of the same range, with mramView's growth and
+     * validity rules. Writes through it land in the bank directly:
+     * the batch interpreter trains a halo-free lane's Q region in
+     * place and charges the modelled DMA separately.
+     */
+    std::uint8_t *
+    mramViewMutable(std::size_t offset, std::size_t bytes)
+    {
+        ensure(offset + bytes);
+        return _mram.data() + offset;
+    }
+
+    /**
+     * Size the lazy buffer to hold at least [0, end) (zero-filled),
+     * so views and writes inside it never grow, and so never move,
+     * the bank. A no-op when the bank already holds @p end bytes.
+     * Fatal past the bank capacity.
+     */
+    void mramReserve(std::size_t end) { ensure(end); }
 
     /** Total cycles this core has consumed. */
     Cycles cycles() const { return _cycles; }

@@ -501,8 +501,10 @@ class BasicKernelContext
      * the clock and the DMA byte counter exactly as mramToWram /
      * wramToMram would (same 2,048-byte piece split, same per-piece
      * tail padding) without moving any data. The batch interpreter
-     * reads transitions through a raw MRAM view (Dpu::mramView) and
-     * accounts the modelled transfer here.
+     * reads transitions through a raw MRAM view (Dpu::mramView),
+     * trains halo-free lanes on their bank's Q region in place
+     * (Dpu::mramViewMutable), and accounts the modelled transfers
+     * here.
      */
     void
     chargeDmaSpan(std::size_t bytes)

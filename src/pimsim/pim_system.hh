@@ -110,6 +110,14 @@ class PimSystem
     /** Host threads the engine uses for functional kernel work. */
     unsigned hostThreadCount() const;
 
+    /**
+     * The host pool (PimConfig::hostThreads threads) that runs the
+     * engine's per-core work: kernel lanes, MRAM transfers, and the
+     * host-side averaging of a sync round. Work items must be
+     * index-pure, so results are bit-identical for every pool size.
+     */
+    HostPool &hostPool() { return *_pool; }
+
     // --- accounting ---------------------------------------------------
 
     /** Cycles consumed by the slowest core across all launches. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -666,7 +667,8 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
     std::vector<std::size_t> lane;      ///< index into bctx
     std::vector<std::size_t> count;     ///< chunk length
     std::vector<std::size_t> ownBytes;  ///< writeback size
-    std::vector<QWord *> qPtr;          ///< WRAM Q image
+    std::vector<bool> inPlace;          ///< Q image is the bank's
+    std::vector<QWord *> qPtr;          ///< Q image
     std::vector<const std::uint8_t *> data; ///< MRAM transition view
     std::vector<rlcore::SampleWalker> walker;
     std::vector<Ops> ops;
@@ -700,12 +702,42 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
         const std::size_t q_entries = (own_rows + halo_rows) * na;
         const std::size_t own_bytes = own_entries * sizeof(QWord);
 
+        // The Q image. A halo-free lane trains in place on its
+        // bank's Q region: the inbound and outbound DMA are charged
+        // with chargeDmaSpan (the same 2,048-byte split and padding
+        // as mramToWram / wramToMram), so cycles, op counts and DMA
+        // bytes match the staged copy bit for bit. A halo lane's
+        // image spans two MRAM regions (slice | halo), so it keeps
+        // the staged copy in the scratch arena. The views below
+        // stay valid for the whole launch because
+        //  - launchFaultCheck runs before any lane executes, so a
+        //    faulted launch never reaches here and commits nothing;
+        //  - lanes own disjoint banks, so no other lane touches
+        //    this bank;
+        //  - nothing writes MRAM through Dpu::mramWrite during the
+        //    launch (a halo lane's wramToMram lands inside the bank
+        //    sized here), so the bank never grows and never moves.
+        // Hence the bank is sized first and both views taken after.
+        pimsim::Dpu &bank = bctx.dpu(i);
+        bank.mramReserve(std::max(p.qOffset + own_bytes,
+                                  p.dataOffset + n * kTransitionBytes));
+        const bool staged = halo_rows > 0;
         ctx.wramAlloc(q_entries * sizeof(QWord));
-        QWord *q = bctx.scratch().template alloc<QWord>(q_entries);
-        ctx.mramToWram(p.qOffset, q, own_bytes);
-        if (halo_rows > 0) {
+        QWord *q;
+        if (staged) {
+            q = bctx.scratch().template alloc<QWord>(q_entries);
+            ctx.mramToWram(p.qOffset, q, own_bytes);
             ctx.mramToWram(p.haloOffset, q + own_entries,
                            halo_rows * na * sizeof(QWord));
+        } else {
+            std::uint8_t *region =
+                bank.mramViewMutable(p.qOffset, own_bytes);
+            SWIFTRL_ASSERT(reinterpret_cast<std::uintptr_t>(region) %
+                                   alignof(QWord) ==
+                               0,
+                           "misaligned MRAM Q region on core ", core);
+            q = reinterpret_cast<QWord *>(region);
+            ctx.chargeDmaSpan(own_bytes);
         }
         ctx.wramAlloc(block_mode
                           ? p.blockTransitions * kTransitionBytes
@@ -716,14 +748,13 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
         lane.push_back(i);
         count.push_back(n);
         ownBytes.push_back(own_bytes);
+        inPlace.push_back(!staged);
         qPtr.push_back(q);
-        // Transitions are read straight from the MRAM view — the
-        // region is read-only for the whole launch (the only kernel
-        // MRAM write is the Q writeback below, after the loop), so
-        // the pointer stays valid and the bytes match what per-record
-        // DMA would copy.
+        // Transitions are read straight from the MRAM view; the
+        // region is read-only for the whole launch, so the bytes
+        // match what per-record DMA would copy.
         data.push_back(
-            bctx.dpu(i).mramView(p.dataOffset, n * kTransitionBytes));
+            bank.mramView(p.dataOffset, n * kTransitionBytes));
         walker.emplace_back(n, p.workload.sampling,
                             static_cast<std::size_t>(p.hyper.stride));
         Ops o;
@@ -963,7 +994,12 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
             ctx.chargeBulk(pimsim::OpClass::Int32Mul, 2 * records);
             ctx.chargeDmaSpanBulk(kTransitionBytes, records);
         }
-        ctx.wramToMram(p.qOffset, qPtr[i], ownBytes[i]);
+        // An in-place lane's updates are already in its bank: only
+        // the modelled writeback is charged.
+        if (inPlace[i])
+            ctx.chargeDmaSpan(ownBytes[i]);
+        else
+            ctx.wramToMram(p.qOffset, qPtr[i], ownBytes[i]);
         (*p.lcgStates)[ctx.dpuId()] = ops[i].lcg.state();
     }
 }

@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "common/logging.hh"
+#include "pimsim/host_pool.hh"
 #include "rlcore/seeds.hh"
 #include "rlcore/serialization.hh"
 #include "swiftrl/partition.hh"
@@ -34,6 +35,18 @@ sessionConfigInvalidReason(const SessionConfig &config)
     if (config.hyper.stride <= 0)
         return concat("sampling stride must be positive, got ",
                       config.hyper.stride);
+    // Each range test is false for NaN and for infinities, so a
+    // passing value is finite.
+    const rlcore::Hyper &hyper = config.hyper;
+    if (!(hyper.alpha > 0.0f && hyper.alpha <= 1.0f))
+        return concat("learning rate alpha must be in (0, 1], got ",
+                      hyper.alpha);
+    if (!(hyper.gamma >= 0.0f && hyper.gamma <= 1.0f))
+        return concat("discount factor gamma must be in [0, 1], got ",
+                      hyper.gamma);
+    if (!(hyper.epsilon >= 0.0f && hyper.epsilon <= 1.0f))
+        return concat("exploration rate epsilon must be in [0, 1], "
+                      "got ", hyper.epsilon);
     if (config.blockTransitions == 0)
         return "staging block must hold at least one transition";
     if (config.tasklets < 1 || config.tasklets > 24)
@@ -109,7 +122,8 @@ TrainerSession::stream()
 }
 
 void
-TrainerSession::start(StateId num_states, ActionId num_actions)
+TrainerSession::start(StateId num_states, ActionId num_actions,
+                      std::size_t records)
 {
     SWIFTRL_ASSERT(_state == SessionState::Init,
                    "a session begins (or restores) exactly once");
@@ -131,12 +145,6 @@ TrainerSession::start(StateId num_states, ActionId num_actions)
             *_config.metrics, _system);
         _stream->setObserver(_collector.get());
     }
-    // A weighted round keeps its Q views across the count gather, so
-    // every bank must hold the count region before it (an empty-chunk
-    // core never writes it; zero is its weight). Untimed.
-    if (_config.weightedAggregation)
-        _stream->pokeBroadcast(_visitsOffset,
-                               std::vector<std::uint8_t>(q_bytes, 0));
 
     const std::size_t n = _system.numDpus();
     _firsts.assign(n, 0);
@@ -151,13 +159,26 @@ TrainerSession::start(StateId num_states, ActionId num_actions)
         _lcgStates[i] = rlcore::deriveLcgSeed(_config.hyper.seed, i);
 
     // An unsharded table synchronises as the one-shard case: one
-    // replica group of every core over every row. Sharded sessions
-    // build their real plan in setupShardLayout().
+    // replica group of every core over every row. Its banks are
+    // sized once, to the layout Q | visits | the largest chunk
+    // partitionDataset hands a core, so later scatters, broadcasts
+    // and in-place kernel views never reallocate one. Sharded
+    // sessions build their plan and layout in setupShardLayout().
     if (!shardedMode()) {
         _plan = std::make_unique<ShardPlan>(
             makeShardPlan(num_states, 1, n));
         _sliceEntries = _entries;
+        const std::size_t chunk = (records + n - 1) / n;
+        _stream->reserveMram(_dataOffset +
+                             chunk * sizeof(rlcore::PackedTransition));
     }
+    // A weighted round keeps its Q views across the count gather, so
+    // every bank must hold the count region before it, and an
+    // empty-chunk core, which never writes it, must weigh zero.
+    // Untimed, like the sizing.
+    if (_config.weightedAggregation)
+        _stream->pokeBroadcast(_visitsOffset,
+                               std::vector<std::uint8_t>(q_bytes, 0));
 
     _aggregated = QTable(num_states, num_actions);
     _epsilonNow = _config.hyper.epsilon;
@@ -199,13 +220,13 @@ TrainerSession::packChunks(const Dataset &data) const
 {
     const std::size_t n = _system.numDpus();
     std::vector<std::vector<std::uint8_t>> packed(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    _system.hostPool().parallelFor(n, [&](std::size_t i, unsigned) {
         packed[i] =
             _config.workload.format == NumericFormat::Fp32
                 ? data.packFp32(_firsts[i], _counts[i])
                 : data.packInt32(_firsts[i], _counts[i],
                                  _qio.fixedScale());
-    }
+    });
     return packed;
 }
 
@@ -449,24 +470,41 @@ TrainerSession::averageAggregate()
     const std::size_t row_entries =
         static_cast<std::size_t>(_numActions);
     _sum.resize(_sliceEntries);
+    pimsim::HostPool &pool = _system.hostPool();
+    // The host pool splits each group's average by entry range, one
+    // range per thread (one range, the whole slice, on a 1-thread
+    // pool). Every entry still sums its replicas in ascending core
+    // order, so the result is bit-identical for every pool size.
+    const std::size_t ranges =
+        std::min<std::size_t>(pool.threadCount(), _sliceEntries);
+    constexpr std::size_t kWireBytes = rlcore::kQWireBytesPerEntry;
     std::size_t deepest = 0;
     for (std::size_t s = 0; s < _plan->map.numShards(); ++s) {
-        // Sum the live replica slices in ascending core order, then
-        // scale once by 1/liveCount — the exact op order of
-        // QTable::average. Dropped cores' empty views are skipped.
-        std::fill(_sum.begin(), _sum.end(), 0.0f);
         std::size_t live = 0;
-        for (const std::size_t core : _plan->coresOfShard[s]) {
-            if (_stream->isDead(core))
-                continue;
-            _qio.accumulateWire(_wire[core], _sum);
-            ++live;
-        }
+        for (const std::size_t core : _plan->coresOfShard[s])
+            live += _stream->isDead(core) ? 0 : 1;
         SWIFTRL_ASSERT(live > 0, "shard ", s,
                        " has no live replica to aggregate");
         const float inv = 1.0f / static_cast<float>(live);
-        for (float &v : _sum)
-            v *= inv;
+        // Sum the live replica slices in ascending core order, then
+        // scale once by 1/liveCount — the exact op order of
+        // QTable::average. Dropped cores' empty views are skipped.
+        pool.parallelFor(ranges, [&](std::size_t r, unsigned) {
+            const std::size_t begin = _sliceEntries * r / ranges;
+            const std::size_t end = _sliceEntries * (r + 1) / ranges;
+            const std::span<float> sum(_sum.data() + begin,
+                                       end - begin);
+            std::fill(sum.begin(), sum.end(), 0.0f);
+            for (const std::size_t core : _plan->coresOfShard[s]) {
+                if (!_stream->isDead(core))
+                    _qio.accumulateWire(
+                        _wire[core].subspan(begin * kWireBytes,
+                                            sum.size() * kWireBytes),
+                        sum);
+            }
+            for (float &v : sum)
+                v *= inv;
+        });
         deepest = std::max(deepest, live);
         // Only the real (un-padded) rows flow back to the aggregate.
         const StateId base = _plan->map.firstState(s);
@@ -530,7 +568,7 @@ TrainerSession::beginOffline(const Dataset &data, StateId num_states,
     SWIFTRL_ASSERT(!data.empty(), "training on an empty dataset");
     SWIFTRL_ASSERT(!_config.streaming,
                    "beginOffline on a streaming session");
-    start(num_states, num_actions);
+    start(num_states, num_actions, data.size());
     openRunSpan("begin");
     // Init-phase engine commands (scatter, q-init) parent on the run
     // span so a traced fleet job owns its whole causal subtree.
@@ -566,7 +604,7 @@ TrainerSession::beginStreaming(StateId num_states,
 {
     SWIFTRL_ASSERT(_config.streaming,
                    "beginStreaming on an offline session");
-    start(num_states, num_actions);
+    start(num_states, num_actions, 0);
     openRunSpan("begin");
     telemetry::ScopedSpanParent ambient(_traceSpan.id());
     _qio.initQTables(*_stream, num_states, num_actions);
@@ -863,14 +901,14 @@ checkpointMismatch(const SessionConfig &config, std::size_t num_dpus,
 }
 
 void
-TrainerSession::adopt(const SessionCheckpoint &ck)
+TrainerSession::adopt(const SessionCheckpoint &ck, std::size_t records)
 {
     const std::string why =
         checkpointMismatch(_config, _system.numDpus(), ck);
     if (!why.empty())
         SWIFTRL_FATAL(why);
 
-    start(ck.numStates, ck.numActions);
+    start(ck.numStates, ck.numActions, records);
 
     _episodesRemaining = ck.episodesRemaining;
     _commRounds = ck.commRounds;
@@ -929,7 +967,7 @@ TrainerSession::restoreOffline(const Dataset &data,
 {
     SWIFTRL_ASSERT(!_config.streaming,
                    "restoreOffline on a streaming session");
-    adopt(ck);
+    adopt(ck, data.size());
     // Rebuild the transition region: the partition over the restored
     // live set is exactly the one the checkpointed run last scattered
     // (initial scatter and every redistribution use the same
@@ -958,7 +996,7 @@ TrainerSession::restoreStreaming(const SessionCheckpoint &ck)
 {
     SWIFTRL_ASSERT(_config.streaming,
                    "restoreStreaming on an offline session");
-    adopt(ck);
+    adopt(ck, 0);
     // The data region is rebuilt by attachGeneration() when the
     // restore lands mid-generation; at a generation boundary the next
     // loadGeneration() overwrites it anyway.

@@ -509,9 +509,14 @@ class TrainerSession
     std::size_t dataOffset() const { return _dataOffset; }
 
   private:
-    /** Shared begin work: stream + collector + LCG seeding. */
+    /**
+     * Shared begin work: stream + collector + LCG seeding, and the
+     * one sizing of every bank to the unsharded layout's footprint
+     * for a dataset of @p records transitions (0 = not known yet:
+     * the Q and visit regions only).
+     */
     void start(rlcore::StateId num_states,
-               rlcore::ActionId num_actions);
+               rlcore::ActionId num_actions, std::size_t records);
 
     /** Open the "session.run" lifecycle span at the current stream
      *  clock; @p how is "begin" or "restore". Observation-only. */
@@ -582,8 +587,9 @@ class TrainerSession
      *  _aggregated (offline weighted aggregation). */
     void weightedAggregate();
 
-    /** Shared restore work: identity check + engine + learner. */
-    void adopt(const SessionCheckpoint &ck);
+    /** Shared restore work: identity check + engine + learner;
+     *  @p records as for start(). */
+    void adopt(const SessionCheckpoint &ck, std::size_t records);
 
     pimsim::PimSystem &_system;
     SessionConfig _config;

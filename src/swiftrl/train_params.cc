@@ -115,12 +115,12 @@ const TrainParamKey kTable[] = {
         [](P &p) -> auto & { return p.session.workload.format; },
         "fp32, int32, or int8"),
     row("alpha", kEvery, [](P &p) -> auto & { return p.session.hyper.alpha; },
-        "learning rate"),
+        "learning rate, in (0, 1]"),
     row("gamma", kEvery, [](P &p) -> auto & { return p.session.hyper.gamma; },
-        "discount factor"),
+        "discount factor, in [0, 1]"),
     row("epsilon", kEvery,
         [](P &p) -> auto & { return p.session.hyper.epsilon; },
-        "SARSA exploration rate"),
+        "SARSA exploration rate, in [0, 1]"),
     row("episodes", kEvery,
         [](P &p) -> auto & { return p.session.hyper.episodes; },
         "episode budget"),

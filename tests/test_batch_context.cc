@@ -13,13 +13,16 @@
  * cohort are untouched.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "pimsim/batch_context.hh"
+#include "pimsim/command_stream.hh"
 #include "pimsim/dpu.hh"
 #include "pimsim/kernel_context.hh"
 #include "rlcore/dataset.hh"
@@ -27,6 +30,8 @@
 #include "rlenv/registry.hh"
 #include "swiftrl/pim_kernels.hh"
 #include "swiftrl/pim_trainer.hh"
+#include "swiftrl/session.hh"
+#include "swiftrl/sharding.hh"
 #include "swiftrl/workload.hh"
 
 namespace {
@@ -235,9 +240,226 @@ TEST_F(BatchIdentity, WeightedAggregationFallsBackToScalar)
     EXPECT_EQ(QTable::maxAbsDifference(run(false), run(true)), 0.0f);
 }
 
-// --- lane-mask unit tests ---------------------------------------------
+// --- bank-byte parity --------------------------------------------------
+//
+// Batch lanes without halo rows train in place on their bank's Q
+// region; halo lanes train on a staged copy. Either way every bank
+// must hold, after each launch, exactly the bytes a scalar launch
+// leaves there, with the same clocks and DMA counters.
 
 constexpr std::size_t kDataOffset = 64 * 1024;
+
+/** Bytes of every bank compared: past the Q, data and halo regions
+ *  of every layout below (reads past a bank's held bytes are zero). */
+constexpr std::size_t kBankSnapshotBytes = 192 * 1024;
+
+/** Everything observable about every bank at one instant. */
+struct BankState
+{
+    std::vector<std::vector<std::uint8_t>> bytes;
+    std::vector<std::uint64_t> cycles;
+    std::vector<std::array<std::uint64_t, kNumOpClasses>> ops;
+    std::vector<std::uint64_t> dma;
+
+    bool operator==(const BankState &) const = default;
+};
+
+BankState
+snapshotBanks(const PimSystem &system)
+{
+    BankState state;
+    for (std::size_t i = 0; i < system.numDpus(); ++i) {
+        const Dpu &dpu = system.dpu(i);
+        state.bytes.emplace_back(kBankSnapshotBytes);
+        dpu.mramRead(0, state.bytes.back().data(), kBankSnapshotBytes);
+        state.cycles.push_back(dpu.cycles());
+        state.ops.push_back(dpu.opCounts());
+        state.dma.push_back(dpu.dmaBytes());
+    }
+    return state;
+}
+
+/** Snapshots every bank right after each successful launch, before
+ *  the session's gather and broadcast touch them. */
+class BankRecorder : public swiftrl::pimsim::StreamObserver
+{
+  public:
+    void
+    onLaunch(swiftrl::pimsim::CommandStream &stream,
+             const swiftrl::pimsim::LaunchStats &) override
+    {
+        launches.push_back(snapshotBanks(stream.system()));
+    }
+
+    std::vector<BankState> launches;
+};
+
+std::vector<BankState>
+launchSnapshots(const Workload &w, const swiftrl::rlcore::Dataset &data,
+                swiftrl::rlcore::StateId ns, swiftrl::rlcore::ActionId na,
+                std::size_t shards, bool batch)
+{
+    PimConfig pim;
+    pim.numDpus = 8;
+    pim.hostThreads = 1;
+    PimSystem system(pim);
+    SessionConfig cfg;
+    cfg.workload = w;
+    cfg.hyper.episodes = 6;
+    cfg.tau = 3;
+    cfg.shards = shards;
+    cfg.batchExec = batch;
+    swiftrl::TrainerSession session(system, cfg);
+    session.beginOffline(data, ns, na);
+    BankRecorder recorder;
+    session.stream().setObserver(&recorder);
+    while (session.step()) {
+    }
+    session.stream().setObserver(nullptr);
+    return recorder.launches;
+}
+
+TEST_F(BatchIdentity, EveryBankMatchesScalarAfterEachLaunch)
+{
+    // Enough transitions that every core reaches the goal reward, so
+    // the Q regions compared are far from all-zero.
+    const auto data = swiftrl::rlcore::collectRandomDataset(*_env, 8000, 7);
+    for (const Workload &w : swiftrl::extendedWorkloads()) {
+        SCOPED_TRACE(w.name());
+        const auto scalar = launchSnapshots(
+            w, data, _env->numStates(), _env->numActions(), 0, false);
+        const auto batched = launchSnapshots(
+            w, data, _env->numStates(), _env->numActions(), 0, true);
+        ASSERT_EQ(scalar.size(), 2u);
+        EXPECT_TRUE(batched == scalar);
+        // Training wrote the Q regions compared: most banks hold a
+        // non-zero table after the first launch, and the second
+        // launch (from the broadcast average) moved them again.
+        const std::size_t q_bytes = static_cast<std::size_t>(
+            _env->numStates() * _env->numActions() * 4);
+        std::size_t trained = 0;
+        for (const auto &bank : scalar[0].bytes) {
+            trained += std::any_of(bank.begin(), bank.begin() + q_bytes,
+                                   [](std::uint8_t b) { return b != 0; });
+        }
+        EXPECT_GE(trained, scalar[0].bytes.size() / 2);
+        EXPECT_FALSE(scalar[0].bytes == scalar[1].bytes);
+    }
+}
+
+TEST_F(BatchIdentity, ShardedCohortMixingHaloAndHaloFreeLanes)
+{
+    // Four shards of one grid row each over 8 cores. Drop the goal
+    // row's transitions that leave it, so that shard's two replicas
+    // train halo-free (in place) on a table the goal reward fills,
+    // while the other shards' lanes keep halo rows (staged).
+    const auto ns = _env->numStates();
+    const auto na = _env->numActions();
+    const auto plan = swiftrl::makeShardPlan(ns, 4, 8);
+    const std::size_t halo_free = plan.map.ownerOf(ns - 1);
+    const auto source =
+        swiftrl::rlcore::collectRandomDataset(*_env, 8000, 7);
+    swiftrl::rlcore::Dataset data;
+    std::array<bool, 4> crossing{};
+    for (std::size_t k = 0; k < source.size(); ++k) {
+        const auto s = source.states()[k];
+        const auto s2 = source.nextStates()[k];
+        const bool terminal = source.terminals()[k] != 0;
+        const std::size_t shard = plan.map.ownerOf(s);
+        const bool crosses = !terminal && plan.map.ownerOf(s2) != shard;
+        if (shard == halo_free && crosses)
+            continue;
+        crossing[shard] = crossing[shard] || crosses;
+        data.append({s, source.actions()[k], source.rewards()[k], s2,
+                     terminal});
+    }
+    for (std::size_t shard = 0; shard < 4; ++shard)
+        ASSERT_EQ(crossing[shard], shard != halo_free) << shard;
+
+    for (const Workload &w :
+         {Workload{swiftrl::rlcore::Algorithm::QLearning,
+                   swiftrl::rlcore::Sampling::Seq, NumericFormat::Fp32},
+          Workload{swiftrl::rlcore::Algorithm::Sarsa,
+                   swiftrl::rlcore::Sampling::Str,
+                   NumericFormat::Int32},
+          Workload{swiftrl::rlcore::Algorithm::QLearning,
+                   swiftrl::rlcore::Sampling::Ran,
+                   NumericFormat::Int8}}) {
+        SCOPED_TRACE(w.name());
+        const auto scalar = launchSnapshots(w, data, ns, na, 4, false);
+        const auto batched = launchSnapshots(w, data, ns, na, 4, true);
+        ASSERT_EQ(scalar.size(), 2u);
+        EXPECT_TRUE(batched == scalar);
+        // The in-place lanes trained a non-zero slice.
+        const std::size_t slice_bytes =
+            plan.map.rowsPerShard() * static_cast<std::size_t>(na) * 4;
+        for (const std::size_t core : plan.coresOfShard[halo_free]) {
+            const auto &bank = scalar[0].bytes[core];
+            EXPECT_TRUE(std::any_of(
+                bank.begin(), bank.begin() + slice_bytes,
+                [](std::uint8_t b) { return b != 0; }))
+                << "core " << core;
+        }
+    }
+}
+
+TEST_F(BatchIdentity, FaultedLaunchChangesNoBankByte)
+{
+    // A transient fault at the launch site abandons the launch before
+    // any lane runs: no in-place lane may have touched its bank.
+    PimConfig pim;
+    pim.numDpus = 4;
+    pim.hostThreads = 1;
+    pim.faultPlan.scheduled = {
+        {FaultKind::TransientKernel, /*site=*/0, /*dpu=*/2}};
+    PimSystem system(pim);
+    swiftrl::pimsim::CommandStream stream(system);
+
+    const std::size_t ns = _env->numStates();
+    const std::size_t na = _env->numActions();
+    std::vector<std::size_t> counts(4, 64);
+    std::vector<std::uint32_t> lcg{1u, 2u, 3u, 4u};
+    const auto payload = _data.packFp32(0, 64);
+    stream.pushChunks(kDataOffset,
+                      std::vector<std::span<const std::uint8_t>>(
+                          4, std::span<const std::uint8_t>(payload)));
+    // A non-zero Q region, so a stray write would show.
+    std::vector<float> q(ns * na);
+    for (std::size_t e = 0; e < q.size(); ++e)
+        q[e] = 0.25f * static_cast<float>(e % 7);
+    stream.pushBroadcast(
+        0, {reinterpret_cast<const std::uint8_t *>(q.data()),
+            q.size() * sizeof(float)});
+
+    KernelParams p;
+    p.numStates = static_cast<swiftrl::rlcore::StateId>(ns);
+    p.numActions = static_cast<swiftrl::rlcore::ActionId>(na);
+    p.dataOffset = kDataOffset;
+    p.episodes = 3;
+    p.chunkCounts = &counts;
+    p.lcgStates = &lcg;
+    int runs = 0;
+    const swiftrl::pimsim::BatchKernelFn kernel =
+        [&](BatchKernelContext &bctx) {
+            ++runs;
+            swiftrl::runTrainingKernelBatch(bctx, p);
+        };
+
+    const BankState before = snapshotBanks(system);
+    const auto faulted = stream.launchBatch(kernel);
+    ASSERT_TRUE(faulted.error.has_value());
+    EXPECT_EQ(faulted.error->kind, FaultKind::TransientKernel);
+    EXPECT_EQ(runs, 0);
+    EXPECT_TRUE(snapshotBanks(system) == before);
+    EXPECT_EQ(lcg, (std::vector<std::uint32_t>{1u, 2u, 3u, 4u}));
+
+    // The retry at the next site trains, in place.
+    ASSERT_FALSE(stream.launchBatch(kernel).error.has_value());
+    EXPECT_GT(runs, 0);
+    EXPECT_FALSE(snapshotBanks(system).bytes == before.bytes);
+}
+
+// --- lane-mask unit tests ---------------------------------------------
 
 /** Per-core observables of a direct kernel run. */
 struct CoreResult

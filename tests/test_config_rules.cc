@@ -16,6 +16,7 @@
 #include <climits>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -26,6 +27,8 @@
 #include "common/json.hh"
 #include "fleet/job_spec.hh"
 #include "pimsim/pim_system.hh"
+#include "rlcore/qtable.hh"
+#include "rlcore/serialization.hh"
 #include "swiftrl/session.hh"
 #include "swiftrl/swiftrl.hh"
 #include "swiftrl/train_params.hh"
@@ -38,13 +41,15 @@ using namespace swiftrl;
 struct BadValue
 {
     /** JSON members for every surface (the CLI spells them as
-     *  flags). */
+     *  flags); null when JSON cannot spell the value (NaN). */
     const char *json;
     /** The same value applied to a SessionConfig; empty when the
      *  rule is not a session rule. */
     std::function<void(SessionConfig &)> apply;
     /** The reason every surface must report. */
     const char *reason;
+    /** The CLI flag, for a value only the CLI can spell. */
+    const char *cliFlag = nullptr;
 };
 
 const BadValue kBadValues[] = {
@@ -74,6 +79,25 @@ const BadValue kBadValues[] = {
     {R"("epsilon_decay": 1.5)",
      [](SessionConfig &c) { c.epsilonDecay = 1.5f; },
      "epsilon decay must be in (0, 1], got 1.5"},
+    // Learning hyper-parameters: finite and in range.
+    {R"("gamma": 7)", [](SessionConfig &c) { c.hyper.gamma = 7.0f; },
+     "discount factor gamma must be in [0, 1], got 7"},
+    // Past float range: infinity, never a silently huge rate.
+    {R"("alpha": 1e39)",
+     [](SessionConfig &c) {
+         c.hyper.alpha = std::numeric_limits<float>::infinity();
+     },
+     "learning rate alpha must be in (0, 1], got inf"},
+    {R"("alpha": 0)", [](SessionConfig &c) { c.hyper.alpha = 0.0f; },
+     "learning rate alpha must be in (0, 1], got 0"},
+    {R"("epsilon": -0.5)",
+     [](SessionConfig &c) { c.hyper.epsilon = -0.5f; },
+     "exploration rate epsilon must be in [0, 1], got -0.5"},
+    {nullptr,
+     [](SessionConfig &c) {
+         c.hyper.alpha = std::numeric_limits<float>::quiet_NaN();
+     },
+     "learning rate alpha must be in (0, 1], got nan", "--alpha=nan"},
     {R"("shards": 2, "weighted": true)",
      [](SessionConfig &c) {
          c.shards = 2;
@@ -143,7 +167,7 @@ const GoodValue kGoodValues[] = {
 void
 PrintTo(const BadValue &bad, std::ostream *os)
 {
-    *os << bad.json;
+    *os << (bad.json ? bad.json : bad.cliFlag);
 }
 
 void
@@ -287,6 +311,8 @@ class BadTrainValue : public ::testing::TestWithParam<BadValue>
 TEST_P(BadTrainValue, CApiReturnsParseErrorWithTheReason)
 {
     const BadValue &bad = GetParam();
+    if (!bad.json)
+        GTEST_SKIP() << "no JSON spelling";
     const std::string params = std::string("{") + bad.json + "}";
     swiftrl_session *session = nullptr;
     EXPECT_EQ(swiftrl_session_create(params.c_str(), &session),
@@ -300,7 +326,7 @@ TEST_P(BadTrainValue, CApiReturnsParseErrorWithTheReason)
 TEST_P(BadTrainValue, FleetParserRejectsTheJobAtParseTime)
 {
     const BadValue &bad = GetParam();
-    if (!hasKeys(TrainSurface::Fleet, bad.json))
+    if (!bad.json || !hasKeys(TrainSurface::Fleet, bad.json))
         GTEST_SKIP() << "no fleet spelling";
     EXPECT_DEATH(fleet::parseFleetSpec(fleetSpec(bad.json)),
                  literal(std::string("fleet spec: job \"bad\": ") +
@@ -310,8 +336,11 @@ TEST_P(BadTrainValue, FleetParserRejectsTheJobAtParseTime)
 TEST_P(BadTrainValue, CliFlagsReturnTheReason)
 {
     const BadValue &bad = GetParam();
-    const auto args = cliArgs(bad.json);
-    if (!hasKeys(TrainSurface::Cli, bad.json) || !args)
+    const auto args =
+        bad.cliFlag ? std::optional<std::vector<std::string>>(
+                          {"swiftrl_cli", bad.cliFlag})
+                    : cliArgs(bad.json);
+    if (!args || (!bad.cliFlag && !hasKeys(TrainSurface::Cli, bad.json)))
         GTEST_SKIP() << "no CLI spelling";
     TrainParams params;
     EXPECT_EQ(readCli(*args, params), bad.reason);
@@ -410,6 +439,45 @@ TEST(TrainParamKeys, JobSpecDefaultsAreTheTables)
     EXPECT_EQ(job.transitions, params.transitions);
     EXPECT_EQ(job.collectSeed, params.collectSeed);
     EXPECT_EQ(fleet::sessionConfigFor(job), params.session);
+}
+
+// --- serving_json ------------------------------------------------------
+
+TEST(ServingJson, ValuesAreTypedLikeTheTrainingTable)
+{
+    const std::string path = ::testing::TempDir() + "serving_json.qt";
+    rlcore::saveQTable(rlcore::QTable(16, 4), path);
+    swiftrl_policy *policy = nullptr;
+
+    // Wrong JSON types are refused, not replaced by the defaults.
+    EXPECT_EQ(swiftrl_policy_load(
+                  path.c_str(),
+                  R"({"max_batch": "8", "max_wait_sec": "soon"})",
+                  &policy),
+              SWIFTRL_ERR_PARSE);
+    EXPECT_EQ(policy, nullptr);
+    EXPECT_EQ(std::string(swiftrl_last_error()),
+              "serving_json: \"max_batch\" must be a number");
+    EXPECT_EQ(swiftrl_policy_load(path.c_str(),
+                                  R"({"max_wait_sec": "soon"})",
+                                  &policy),
+              SWIFTRL_ERR_PARSE);
+    EXPECT_EQ(std::string(swiftrl_last_error()),
+              "serving_json: \"max_wait_sec\" must be a number");
+    EXPECT_EQ(swiftrl_policy_load(path.c_str(),
+                                  R"({"max_batch": 0})", &policy),
+              SWIFTRL_ERR_PARSE);
+    EXPECT_EQ(std::string(swiftrl_last_error()),
+              "serving_json: \"max_batch\" must be >= 1");
+
+    // The smoke client's valid call still loads.
+    ASSERT_EQ(swiftrl_policy_load(
+                  path.c_str(),
+                  R"({"max_batch": 8, "max_wait_sec": 0.0001})",
+                  &policy),
+              SWIFTRL_OK);
+    EXPECT_NE(policy, nullptr);
+    swiftrl_policy_free(policy);
 }
 
 // --- tau ---------------------------------------------------------------
