@@ -33,9 +33,9 @@
  * fleet job specs read too.
  *   "env"               frozenlake, frozenlake-det, taxi, cliffwalking,
  *                       lake:<side>[:det], mptaxi:<side>x<P> (frozenlake)
- *   "cores"             PIM cores to train on                 (125)
+ *   "cores"             PIM cores to train on, 1..65536       (125)
  *   "host_threads"      simulation host threads; 0 = all        (0)
- *   "transitions"       offline dataset size                (16384)
+ *   "transitions"       offline dataset size, 1..2^26       (16384)
  *   "collect_seed"      dataset collection seed              (1234)
  *   "algo"              qlearning (or q) | sarsa        (qlearning)
  *   "sampling"          seq | ran | str                       (seq)

@@ -10,6 +10,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/fixed_point.hh"
 #include "common/logging.hh"
 #include "rlcore/dataset.hh"
 #include "rlcore/sampling.hh"
@@ -420,64 +421,20 @@ struct LaneOps : rlcore::HostOps
 };
 
 /**
- * LaneOps variant for the INT32 fixed-point rules, which divide by
- * the same positive scale (the paper's 10,000) twice per update — a
- * 64-bit divide dominates their cost. This override replaces it with
- * a Granlund–Montgomery style magic multiply: for
- * m = ceil(2^63 / d) and err = m*d - 2^63 < d,
- *   floor(uv*m / 2^63) = floor((uv + uv*err/2^63) / d),
- * which equals floor(uv / d) exactly whenever uv*err < 2^63 —
- * checked against a precomputed limit, far above any value imul32
- * can produce for practical scales (plain division covers the rest).
- * Truncation toward zero follows from applying the unsigned floor to
- * |value| and restoring the sign. Kept out of the base LaneOps so
- * variants that never divide (FP32, INT8) don't carry the extra
- * inlined code in their hot loops.
+ * LaneOps for the INT32 rules at a compile-time scale: both rescales
+ * of an update divide by @p Scale, which the compiler lowers to a
+ * multiply and shifts with the same truncated quotient as
+ * HostOps::rescale. runTrainingKernelBatch picks it for
+ * common::kDefaultScale, the only scale it is instantiated for.
  */
-struct LaneOpsFastDiv : LaneOps
+template <std::int32_t Scale>
+struct LaneOpsScale : LaneOps
 {
     std::int32_t
-    rescale(std::int64_t value, std::int32_t scale)
+    rescale(std::int64_t value, std::int32_t)
     {
-        SWIFTRL_ASSERT(scale != 0, "rescale by zero");
-#ifdef __SIZEOF_INT128__
-        if (scale > 0) {
-            if (scale != _divScale)
-                setDivisor(scale);
-            const std::uint64_t uv =
-                value < 0 ? 0 - static_cast<std::uint64_t>(value)
-                          : static_cast<std::uint64_t>(value);
-            if (uv <= _divLimit) {
-                const auto uq = static_cast<std::uint64_t>(
-                    (static_cast<unsigned __int128>(uv) * _divMagic)
-                    >> 63);
-                const auto q = static_cast<std::int64_t>(uq);
-                return static_cast<std::int32_t>(value < 0 ? -q : q);
-            }
-        }
-#endif
-        return rlcore::HostOps::rescale(value, scale);
+        return static_cast<std::int32_t>(value / Scale);
     }
-
-#ifdef __SIZEOF_INT128__
-  private:
-    void
-    setDivisor(std::int32_t scale)
-    {
-        _divScale = scale;
-        const auto d = static_cast<std::uint64_t>(scale);
-        constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
-        _divMagic = kHalf / d + (kHalf % d != 0 ? 1 : 0);
-        const std::uint64_t rem = kHalf % d;
-        const std::uint64_t err = rem ? d - rem : 0;
-        _divLimit = err ? (kHalf - 1) / err
-                        : std::numeric_limits<std::uint64_t>::max();
-    }
-
-    std::int32_t _divScale = 0;   ///< divisor the magic was built for
-    std::uint64_t _divMagic = 0;  ///< ceil(2^63 / divisor)
-    std::uint64_t _divLimit = 0;  ///< largest |value| proven exact
-#endif
 };
 
 /**
@@ -640,7 +597,7 @@ calibrateShapes(const KernelParams &p, bool sarsa,
  * divergent chunk lengths handled by each lane's own step bound and
  * dead cores already excluded from the cohort by
  * CommandStream::launchBatch. @p Ops picks the functional provider
- * (LaneOps, or LaneOpsFastDiv for the division-heavy INT32 rules).
+ * (LaneOps, or LaneOpsScale for the INT32 rules at the default scale).
  */
 template <typename QWord, typename Ops, typename UpdateFn>
 void
@@ -1167,29 +1124,35 @@ runTrainingKernelBatch(pimsim::BatchKernelContext &batch,
             return;
         }
 
-        if (p.workload.algo == Algorithm::QLearning) {
-            trainBatch<std::int32_t, LaneOpsFastDiv>(
-                batch, p, /*sarsa=*/false, epsilon_milli,
-                [&](auto &ops, std::int32_t *q,
-                    const RecordFields &f) {
-                    rlcore::qlearningUpdateInt32(
-                        ops, q, num_actions, f.s, f.a, f.rewardBits,
-                        f.s2, f.terminal, scaled);
-                });
-        } else {
-            // Plain LaneOps measures faster here: SARSA's update is
-            // already branch-heavy (epsilon draw, argmax), and the
-            // extra inlined magic-divide code costs more than the
-            // divides it saves.
-            trainBatch<std::int32_t, LaneOps>(
-                batch, p, /*sarsa=*/true, epsilon_milli,
-                [&](auto &ops, std::int32_t *q,
-                    const RecordFields &f) {
-                    rlcore::sarsaUpdateInt32(
-                        ops, q, num_actions, f.s, f.a, f.rewardBits,
-                        f.s2, f.terminal, scaled);
-                });
-        }
+        // INT32: both rescales of an update divide by the scale; at
+        // the default scale it is a compile-time constant.
+        const auto int32 = [&](auto ops) {
+            using Ops = typename decltype(ops)::type;
+            if (p.workload.algo == Algorithm::QLearning) {
+                trainBatch<std::int32_t, Ops>(
+                    batch, p, /*sarsa=*/false, epsilon_milli,
+                    [&](auto &o, std::int32_t *q,
+                        const RecordFields &f) {
+                        rlcore::qlearningUpdateInt32(
+                            o, q, num_actions, f.s, f.a, f.rewardBits,
+                            f.s2, f.terminal, scaled);
+                    });
+            } else {
+                trainBatch<std::int32_t, Ops>(
+                    batch, p, /*sarsa=*/true, epsilon_milli,
+                    [&](auto &o, std::int32_t *q,
+                        const RecordFields &f) {
+                        rlcore::sarsaUpdateInt32(
+                            o, q, num_actions, f.s, f.a, f.rewardBits,
+                            f.s2, f.terminal, scaled);
+                    });
+            }
+        };
+        if (scaled.scale == common::kDefaultScale)
+            int32(std::type_identity<
+                  LaneOpsScale<common::kDefaultScale>>{});
+        else
+            int32(std::type_identity<LaneOps>{});
     };
 
     switch (p.numActions) {

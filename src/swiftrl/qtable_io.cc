@@ -1,6 +1,5 @@
 #include "swiftrl/qtable_io.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "pimsim/pim_system.hh"
@@ -12,14 +11,6 @@ using rlcore::ActionId;
 using rlcore::NumericFormat;
 using rlcore::QTable;
 using rlcore::StateId;
-
-std::int32_t
-QTableIo::fixedScale() const
-{
-    if (_workload.format == NumericFormat::Int8)
-        return 1 << _hyper.int8Shift;
-    return _hyper.scale;
-}
 
 double
 QTableIo::conversionSeconds(const pimsim::CommandStream &stream,
@@ -86,37 +77,14 @@ QTableIo::gatherWire(pimsim::CommandStream &stream, std::size_t entries,
 }
 
 void
-QTableIo::accumulateWire(std::span<const std::uint8_t> wire,
-                         std::span<float> sum) const
-{
-    SWIFTRL_ASSERT(wire.size() ==
-                       sum.size() * rlcore::kQWireBytesPerEntry,
-                   "Q wire size mismatch");
-    const std::size_t entries = sum.size();
-    if (_workload.format == NumericFormat::Fp32) {
-        const auto *values =
-            reinterpret_cast<const float *>(wire.data());
-        for (std::size_t i = 0; i < entries; ++i)
-            sum[i] += values[i];
-        return;
-    }
-    // The functional descale (the modelled cost is what the on-core
-    // float conversion would take): the correctly rounded quotient,
-    // the same expression as QTable::fromFixed.
-    const auto *fixed =
-        reinterpret_cast<const std::int32_t *>(wire.data());
-    const double scale = static_cast<double>(fixedScale());
-    for (std::size_t i = 0; i < entries; ++i)
-        sum[i] +=
-            static_cast<float>(static_cast<double>(fixed[i]) / scale);
-}
-
-void
 QTableIo::decodeWire(std::span<const std::uint8_t> wire,
                      std::span<float> out) const
 {
-    std::fill(out.begin(), out.end(), -0.0f);
-    accumulateWire(wire, out);
+    SWIFTRL_ASSERT(wire.size() ==
+                       out.size() * rlcore::kQWireBytesPerEntry,
+                   "Q wire size mismatch");
+    for (std::size_t e = 0; e < out.size(); ++e)
+        out[e] = decodeEntry(wire, e);
 }
 
 std::vector<std::uint8_t>
@@ -133,13 +101,12 @@ QTableIo::packWire(const QTable &q) const
 }
 
 void
-QTableIo::broadcastQTable(pimsim::CommandStream &stream,
-                          const QTable &q, TimeBucket bucket,
-                          std::string_view label) const
+QTableIo::broadcastWire(pimsim::CommandStream &stream,
+                        std::span<const std::uint8_t> wire,
+                        TimeBucket bucket, std::string_view label) const
 {
-    const std::size_t entries = q.entryCount();
-    const std::vector<std::uint8_t> bytes = packWire(q);
-    stream.pushBroadcast(qOffset(), bytes, bucket, label);
+    const std::size_t entries = wire.size() / rlcore::kQWireBytesPerEntry;
+    stream.pushBroadcast(qOffset(), wire, bucket, label);
     // Re-quantisation back to raw fixed point happens on-core after
     // the broadcast lands.
     const double convert =

@@ -16,6 +16,7 @@
 #define SWIFTRL_SWIFTRL_QTABLE_IO_HH
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -53,7 +54,13 @@ class QTableIo
      * Fixed-point scale for the active format: hyper.scale for INT32,
      * 1 << hyper.int8Shift for the INT8 optimisation.
      */
-    std::int32_t fixedScale() const;
+    std::int32_t
+    fixedScale() const
+    {
+        return _workload.format == rlcore::NumericFormat::Int8
+                   ? 1 << _hyper.int8Shift
+                   : _hyper.scale;
+    }
 
     /**
      * Modelled on-core cost of converting a Q-table between raw
@@ -90,37 +97,48 @@ class QTableIo
                     const RetryPolicy *retry = nullptr) const;
 
     /**
-     * Decode one Q wire image of sum.size() entries (FP32 as is,
-     * fixed point descaled in double precision, as in
-     * QTable::fromFixed) and add it entry-wise into @p sum. Summing
-     * the live cores in ascending order into zeros and scaling once
-     * by 1/live is QTable::average bit for bit.
+     * Decode entry @p e of one Q wire image: FP32 as is, fixed point
+     * descaled in double precision (the correctly rounded quotient,
+     * as in QTable::fromFixed; the modelled cost is the on-core
+     * conversion's). Summing the live cores' decoded
+     * tables in ascending order into zeros and scaling once by
+     * 1/live is QTable::average bit for bit.
      */
-    void accumulateWire(std::span<const std::uint8_t> wire,
-                        std::span<float> sum) const;
+    float
+    decodeEntry(std::span<const std::uint8_t> wire, std::size_t e) const
+    {
+        if (_workload.format == rlcore::NumericFormat::Fp32) {
+            float value;
+            std::memcpy(&value, wire.data() + e * sizeof(float),
+                        sizeof(float));
+            return value;
+        }
+        std::int32_t fixed;
+        std::memcpy(&fixed, wire.data() + e * sizeof(std::int32_t),
+                    sizeof(std::int32_t));
+        return static_cast<float>(static_cast<double>(fixed) /
+                                  static_cast<double>(fixedScale()));
+    }
 
-    /**
-     * Decode one Q wire image into @p out, bit for bit: accumulates
-     * into -0.0f, the exact identity of IEEE addition (signed zeros
-     * included).
-     */
+    /** Decode one Q wire image of out.size() entries into @p out
+     *  with decodeEntry(). */
     void decodeWire(std::span<const std::uint8_t> wire,
                     std::span<float> out) const;
 
     /**
-     * Broadcast one Q-table to every core's MRAM Q region, including
-     * the on-core requantise step, charged to @p bucket.
+     * Broadcast one packWire() image to every core's MRAM Q region,
+     * including the on-core requantise step, charged to @p bucket.
      */
-    void broadcastQTable(pimsim::CommandStream &stream,
-                         const rlcore::QTable &q,
-                         pimsim::TimeBucket bucket,
-                         std::string_view label = "broadcast:q") const;
+    void broadcastWire(pimsim::CommandStream &stream,
+                       std::span<const std::uint8_t> wire,
+                       pimsim::TimeBucket bucket,
+                       std::string_view label = "broadcast:q") const;
 
     /**
-     * The exact bytes broadcastQTable would put on the wire for @p q
-     * (FP32 copy or the fixed-point encoding). The session restore
-     * path pokes these bytes into MRAM functionally, so a restored
-     * bank is byte-identical to one the last broadcast wrote.
+     * The exact bytes the session broadcasts for @p q (FP32 copy or
+     * the fixed-point encoding). The session restore path pokes
+     * these bytes into MRAM functionally, so a restored bank is
+     * byte-identical to one the last broadcast wrote.
      */
     std::vector<std::uint8_t> packWire(const rlcore::QTable &q) const;
 

@@ -149,6 +149,7 @@ TrainerSession::start(StateId num_states, ActionId num_actions,
     const std::size_t n = _system.numDpus();
     _firsts.assign(n, 0);
     _counts.assign(n, 0);
+    _touchedFirst.assign(n + 1, 0);
 
     // Persistent LCG streams, one per (core, tasklet), carried across
     // rounds (and generations) exactly as a real deployment keeps the
@@ -182,6 +183,8 @@ TrainerSession::start(StateId num_states, ActionId num_actions,
 
     _aggregated = QTable(num_states, num_actions);
     _epsilonNow = _config.hyper.epsilon;
+    if (!shardedMode())
+        packPushed();
     buildKernel();
 }
 
@@ -231,14 +234,15 @@ TrainerSession::packChunks(const Dataset &data) const
 }
 
 void
-TrainerSession::repartition(const Dataset &data)
+TrainerSession::repartition()
 {
     const std::size_t n = _system.numDpus();
     const std::size_t live = _stream->liveDpuCount();
     if (live == 0)
         SWIFTRL_FATAL("all ", n, " cores lost to permanent dropouts; "
                       "nothing left to redistribute to");
-    const auto live_chunks = partitionDataset(data.size(), live);
+    const auto live_chunks =
+        partitionDataset(_activeData->size(), live);
     std::size_t next = 0;
     for (std::size_t i = 0; i < n; ++i) {
         if (_stream->isDead(i)) {
@@ -250,6 +254,48 @@ TrainerSession::repartition(const Dataset &data)
         _counts[i] = live_chunks[next].count;
         ++next;
     }
+    indexTouched();
+}
+
+void
+TrainerSession::indexTouched()
+{
+    // A first-visit stamp per entry, marked with the core, keeps each
+    // chunk's entries unique without a sort or a clear between cores.
+    // Branch-free: every entry is written at the cursor, which moves
+    // on only past a first visit.
+    const Dataset &data = *_activeData;
+    const auto na = static_cast<std::size_t>(_numActions);
+    std::vector<std::uint32_t> stamp(_sliceEntries, 0);
+    _touched = std::make_unique_for_overwrite<std::uint32_t[]>(
+        data.size());
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < _system.numDpus(); ++i) {
+        const auto mark = static_cast<std::uint32_t>(i + 1);
+        const auto row0 = static_cast<std::size_t>(
+            _plan->map.firstState(_plan->shardOfCore[i]));
+        for (std::size_t k = _firsts[i]; k < _firsts[i] + _counts[i];
+             ++k) {
+            // Sharded chunks index the routing order, not the data.
+            const std::size_t idx = shardedMode() ? _routing.order[k] : k;
+            const std::size_t e =
+                (static_cast<std::size_t>(data.states()[idx]) - row0) *
+                    na +
+                static_cast<std::size_t>(data.actions()[idx]);
+            _touched[at] = static_cast<std::uint32_t>(e);
+            at += stamp[e] != mark ? 1 : 0;
+            stamp[e] = mark;
+        }
+        _touchedFirst[i + 1] = at;
+    }
+}
+
+void
+TrainerSession::packPushed()
+{
+    _pushed.resize(_plan->map.numShards());
+    for (std::size_t s = 0; s < _pushed.size(); ++s)
+        _pushed[s] = packSliceWire(_qio, _aggregated, _plan->map, s);
 }
 
 void
@@ -283,10 +329,10 @@ TrainerSession::redistribute()
                        /*poke=*/false);
         return;
     }
-    repartition(*_activeData);
+    repartition();
     scatterActive(TimeBucket::Recovery, "scatter:redistribute");
-    _qio.broadcastQTable(*_stream, _aggregated, TimeBucket::Recovery,
-                         "broadcast:recover");
+    _qio.broadcastWire(*_stream, _pushed[0], TimeBucket::Recovery,
+                       "broadcast:recover");
 }
 
 void
@@ -329,6 +375,7 @@ TrainerSession::setupShardLayout()
     _haloStates.assign(_system.numDpus(), {});
     _haloRows.assign(_system.numDpus(), 0);
     repartitionSharded();
+    packPushed();
     buildKernel();
 }
 
@@ -371,6 +418,7 @@ TrainerSession::repartitionSharded()
                         _plan->shardOfCore[i], _firsts[i], _counts[i]);
         _haloRows[i] = _haloStates[i].size();
     }
+    indexTouched();
 }
 
 std::vector<std::vector<std::uint8_t>>
@@ -406,14 +454,10 @@ void
 TrainerSession::pushShardSlices(TimeBucket bucket,
                                 std::string_view label, bool poke)
 {
-    const std::size_t shards = _plan->map.numShards();
-    std::vector<std::vector<std::uint8_t>> wires(shards);
-    for (std::size_t s = 0; s < shards; ++s)
-        wires[s] = packSliceWire(_qio, _aggregated, _plan->map, s);
     const std::size_t n = _system.numDpus();
     std::vector<std::span<const std::uint8_t>> spans(n);
     for (std::size_t i = 0; i < n; ++i)
-        spans[i] = wires[_plan->shardOfCore[i]];
+        spans[i] = _pushed[_plan->shardOfCore[i]];
     if (poke) {
         _stream->pokeChunks(_qio.qOffset(), spans);
         return;
@@ -470,13 +514,7 @@ TrainerSession::averageAggregate()
     const std::size_t row_entries =
         static_cast<std::size_t>(_numActions);
     _sum.resize(_sliceEntries);
-    pimsim::HostPool &pool = _system.hostPool();
-    // The host pool splits each group's average by entry range, one
-    // range per thread (one range, the whole slice, on a 1-thread
-    // pool). Every entry still sums its replicas in ascending core
-    // order, so the result is bit-identical for every pool size.
-    const std::size_t ranges =
-        std::min<std::size_t>(pool.threadCount(), _sliceEntries);
+    _table.resize(_sliceEntries);
     constexpr std::size_t kWireBytes = rlcore::kQWireBytesPerEntry;
     std::size_t deepest = 0;
     for (std::size_t s = 0; s < _plan->map.numShards(); ++s) {
@@ -486,25 +524,44 @@ TrainerSession::averageAggregate()
         SWIFTRL_ASSERT(live > 0, "shard ", s,
                        " has no live replica to aggregate");
         const float inv = 1.0f / static_cast<float>(live);
-        // Sum the live replica slices in ascending core order, then
-        // scale once by 1/liveCount — the exact op order of
-        // QTable::average. Dropped cores' empty views are skipped.
-        pool.parallelFor(ranges, [&](std::size_t r, unsigned) {
-            const std::size_t begin = _sliceEntries * r / ranges;
-            const std::size_t end = _sliceEntries * (r + 1) / ranges;
-            const std::span<float> sum(_sum.data() + begin,
-                                       end - begin);
-            std::fill(sum.begin(), sum.end(), 0.0f);
-            for (const std::size_t core : _plan->coresOfShard[s]) {
-                if (!_stream->isDead(core))
-                    _qio.accumulateWire(
-                        _wire[core].subspan(begin * kWireBytes,
-                                            sum.size() * kWireBytes),
-                        sum);
+        // Every live bank of the group held this wire when the launch
+        // began (broadcast, q-init and restore all put it there), and
+        // a launch writes only its chunk's touchedEntries(). So a
+        // core's table is the decoded wire with those entries read
+        // from its bank: patch them in, add the table, patch the
+        // wire's values back.
+        const std::span<const std::uint8_t> pushed = _pushed[s];
+        _qio.decodeWire(pushed, _table);
+        // Sum the live replicas in ascending core order, then scale
+        // once by 1/liveCount — the exact op order of
+        // QTable::average. One pass on the calling thread: split by
+        // entry range over the host pool it measured no faster.
+        float *const sum = _sum.data();
+        float *const table = _table.data();
+        std::fill(sum, sum + _sliceEntries, 0.0f);
+        const auto &cores = _plan->coresOfShard[s];
+        for (std::size_t j = 0; j < cores.size(); ++j) {
+            const std::size_t core = cores[j];
+            if (_stream->isDead(core))
+                continue;
+            // The launch wrote the touched lines long before this
+            // (every other bank since): fetch the next core's while
+            // this one adds. A dead core touches nothing.
+            if (j + 1 < cores.size()) {
+                const std::size_t next = cores[j + 1];
+                for (const std::uint32_t e : touchedEntries(next))
+                    __builtin_prefetch(_wire[next].data() +
+                                       e * kWireBytes);
             }
-            for (float &v : sum)
-                v *= inv;
-        });
+            for (const std::uint32_t e : touchedEntries(core))
+                table[e] = _qio.decodeEntry(_wire[core], e);
+            for (std::size_t e = 0; e < _sliceEntries; ++e)
+                sum[e] += table[e];
+            for (const std::uint32_t e : touchedEntries(core))
+                table[e] = _qio.decodeEntry(pushed, e);
+        }
+        for (std::size_t e = 0; e < _sliceEntries; ++e)
+            sum[e] *= inv;
         deepest = std::max(deepest, live);
         // Only the real (un-padded) rows flow back to the aggregate.
         const StateId base = _plan->map.firstState(s);
@@ -589,7 +646,7 @@ TrainerSession::beginOffline(const Dataset &data, StateId num_states,
         pushShardHalos(TimeBucket::CpuToPim, "scatter:halo",
                        /*poke=*/false);
     } else {
-        repartition(data);
+        repartition();
         scatterActive(TimeBucket::CpuToPim, "scatter:dataset");
         _qio.initQTables(*_stream, num_states, num_actions);
     }
@@ -620,7 +677,7 @@ TrainerSession::loadGeneration(const Dataset &gen_data)
                    "previous generation still has rounds pending");
     _activeData = &gen_data;
     telemetry::ScopedSpanParent ambient(_traceSpan.id());
-    repartition(gen_data);
+    repartition();
     const std::string label =
         "scatter:gen" + std::to_string(_generation);
     scatterActive(TimeBucket::CpuToPim, label);
@@ -636,7 +693,7 @@ TrainerSession::attachGeneration(const Dataset &gen_data)
     SWIFTRL_ASSERT(_episodesRemaining > 0,
                    "attachGeneration is for mid-generation restores");
     _activeData = &gen_data;
-    repartition(gen_data);
+    repartition();
     const auto packed = packChunks(gen_data);
     std::vector<std::span<const std::uint8_t>> spans(packed.size());
     for (std::size_t i = 0; i < packed.size(); ++i)
@@ -703,6 +760,7 @@ TrainerSession::step()
         QTable::maxAbsDifference(_aggregated, _previous);
     if (!_config.streaming)
         _roundDeltas.push_back(delta);
+    packPushed();
     if (shardedMode()) {
         // Host-side cost of the hierarchical aggregation: each shard
         // group reduces independently, so the bill is the deepest
@@ -723,8 +781,8 @@ TrainerSession::step()
                 static_cast<double>(_entries) *
                 static_cast<double>(_stream->liveDpuCount()),
             "reduce:average");
-        _qio.broadcastQTable(*_stream, _aggregated,
-                             TimeBucket::InterCore);
+        _qio.broadcastWire(*_stream, _pushed[0],
+                           TimeBucket::InterCore);
     }
     ++_commRounds;
     _epsilonNow *= _config.epsilonDecay;
@@ -944,8 +1002,8 @@ TrainerSession::adopt(const SessionCheckpoint &ck, std::size_t records)
     // sessions rebuild per-core slices (and halos) instead, once
     // restoreOffline has re-derived the shard layout.
     if (_config.shards == 0) {
-        const auto wire = _qio.packWire(_aggregated);
-        _stream->pokeBroadcast(_qio.qOffset(), wire);
+        packPushed();
+        _stream->pokeBroadcast(_qio.qOffset(), _pushed[0]);
     }
     // The visit-count region (weighted aggregation) needs no restore:
     // start() zeroed it, and every non-empty launch rewrites it.
@@ -983,7 +1041,7 @@ TrainerSession::restoreOffline(const Dataset &data,
         pushShardHalos(TimeBucket::Recovery, "", /*poke=*/true);
         return;
     }
-    repartition(data);
+    repartition();
     const auto packed = packChunks(data);
     std::vector<std::span<const std::uint8_t>> spans(packed.size());
     for (std::size_t i = 0; i < packed.size(); ++i)

@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -508,6 +509,19 @@ class TrainerSession
     /** MRAM byte offset of the transition region. */
     std::size_t dataOffset() const { return _dataOffset; }
 
+    /**
+     * The Q entries @p core's chunk can write: the (s, a) of its
+     * transitions, each once, as indices into the core's Q region
+     * (its slice when sharded). A launch leaves every other entry of
+     * the bank at the wire the session last pushed, which is what
+     * makes the sparse synchronisation average exact.
+     */
+    std::span<const std::uint32_t> touchedEntries(std::size_t core) const
+    {
+        return {_touched.get() + _touchedFirst[core],
+                _touchedFirst[core + 1] - _touchedFirst[core]};
+    }
+
   private:
     /**
      * Shared begin work: stream + collector + LCG seeding, and the
@@ -529,9 +543,16 @@ class TrainerSession
     std::vector<std::vector<std::uint8_t>>
     packChunks(const rlcore::Dataset &data) const;
 
-    /** partitionDataset over the surviving cores into
-     *  _firsts/_counts (dead cores get empty chunks). */
-    void repartition(const rlcore::Dataset &data);
+    /** partitionDataset of _activeData over the surviving cores
+     *  into _firsts/_counts (dead cores get empty chunks). */
+    void repartition();
+
+    /** Rebuild every core's touchedEntries() from the current
+     *  partition of _activeData, in O(records). */
+    void indexTouched();
+
+    /** Pack _aggregated into _pushed, one wire per replica group. */
+    void packPushed();
 
     /** Scatter _activeData per the current partition. */
     void scatterActive(pimsim::TimeBucket bucket,
@@ -577,9 +598,10 @@ class TrainerSession
 
     /**
      * Gather + per-replica-group averaging into _aggregated, the one
-     * path for sharded and unsharded (one-group) runs. Returns the
-     * largest live replica group, which sets the aggregation tree's
-     * depth.
+     * path for sharded and unsharded (one-group) runs. Sparse: each
+     * core contributes the group's _pushed wire with only its
+     * touchedEntries() read back from the bank. Returns the largest
+     * live replica group, which sets the aggregation tree's depth.
      */
     std::size_t averageAggregate();
 
@@ -615,13 +637,26 @@ class TrainerSession
     std::vector<std::uint32_t> _lcgStates;
     rlcore::QTable _aggregated;
 
+    /** Each core's touchedEntries(): core i's are
+     *  _touched[_touchedFirst[i] .. _touchedFirst[i + 1]). */
+    std::vector<std::size_t> _touchedFirst;
+    std::unique_ptr<std::uint32_t[]> _touched;
+
+    /** The wire the session last pushed to each replica group's Q
+     *  region (the whole table when unsharded): broadcast, slice
+     *  push and restore send these bytes, and q-init their all-zero
+     *  equal, so every live bank holds them when a launch begins. */
+    std::vector<std::vector<std::uint8_t>> _pushed;
+
     /** Sync-round buffers, reused across rounds: the round's
-     *  starting aggregate, the gathered views, the group sum and the
+     *  starting aggregate, the gathered views, the group sum, the
+     *  decoded wire each core's table is patched into, and the
      *  weighted mean's numerator and denominator. */
     rlcore::QTable _previous;
     std::vector<std::span<const std::uint8_t>> _wire;
     std::vector<std::span<const std::uint8_t>> _visitWire;
     std::vector<float> _sum;
+    std::vector<float> _table;
     std::vector<double> _numerator;
     std::vector<double> _denominator;
 

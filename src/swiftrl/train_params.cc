@@ -178,10 +178,14 @@ trainParamsInvalidReason(const TrainParams &params)
         return reason;
     if (params.cores < 1)
         return "\"cores\" must be >= 1";
+    if (params.cores > kMaxCores)
+        return concat("\"cores\" must be <= ", kMaxCores);
     // transitions < cores is fine: partitionDataset hands the excess
     // cores empty chunks — only a fully empty dataset is meaningless.
     if (params.transitions < 1)
         return "\"transitions\" must be >= 1";
+    if (params.transitions > kMaxTransitions)
+        return concat("\"transitions\" must be <= ", kMaxTransitions);
     reason = sessionConfigInvalidReason(params.session);
     if (!reason.empty() || params.session.shards == 0)
         return reason;

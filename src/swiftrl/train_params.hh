@@ -44,6 +44,15 @@ namespace json {
 class JsonValue;
 }
 
+/**
+ * Ceilings on "cores" and "transitions", so a huge count is refused
+ * with a reason instead of failing an allocation mid-build: 65,536
+ * cores (25x the 2,560 DPUs of the largest UPMEM server) and 2^26
+ * transitions (a 1 GiB packed dataset).
+ */
+inline constexpr std::size_t kMaxCores = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxTransitions = std::size_t{1} << 26;
+
 /** Everything one offline training run is built from. */
 struct TrainParams
 {
@@ -98,7 +107,8 @@ std::span<const TrainParamKey> trainParamTable();
 
 /**
  * Every rule on a complete TrainParams: the environment resolves,
- * cores and transitions are >= 1, sessionConfigInvalidReason() holds,
+ * cores and transitions are >= 1 and within their ceilings,
+ * sessionConfigInvalidReason() holds,
  * and a sharded layout has a valid plan that fits the default MRAM
  * bank. Empty when valid, else the reason.
  */

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fixed_point.hh"
 #include "pimsim/batch_context.hh"
 #include "pimsim/command_stream.hh"
 #include "pimsim/dpu.hh"
@@ -83,6 +84,7 @@ struct RunSpec
     std::size_t shards = 0;
     bool fault = false;
     unsigned hostThreads = 1;
+    std::int32_t scale = swiftrl::common::kDefaultScale;
 };
 
 Fingerprint
@@ -96,10 +98,12 @@ runTrain(const Workload &w, const swiftrl::rlcore::Dataset &data,
     if (spec.fault) {
         // One transient (retried launch) and one permanent dropout
         // (redistribution over the survivors), at fixed sites so the
-        // schedule is identical across engines.
+        // schedule is identical across engines. Sites count launches
+        // and gathers: the retried first launch takes sites 0 and 1,
+        // its gather 2, and the second round's launch 3.
         pim.faultPlan.scheduled = {
             {FaultKind::TransientKernel, /*site=*/0, /*dpu=*/1},
-            {FaultKind::PermanentDropout, /*site=*/2, /*dpu=*/3}};
+            {FaultKind::PermanentDropout, /*site=*/3, /*dpu=*/3}};
     }
     PimSystem system(pim);
 
@@ -109,6 +113,7 @@ runTrain(const Workload &w, const swiftrl::rlcore::Dataset &data,
     cfg.tau = 3;
     cfg.shards = spec.shards;
     cfg.batchExec = spec.batchExec;
+    cfg.hyper.scale = spec.scale;
     PimTrainer trainer(system, cfg);
     const auto result = trainer.train(data, ns, na);
 
@@ -135,7 +140,9 @@ class BatchIdentity : public ::testing::Test
     SetUp() override
     {
         _env = swiftrl::rlenv::makeEnvironment("frozenlake");
-        _data = swiftrl::rlcore::collectRandomDataset(*_env, 600, 7);
+        // Enough transitions that every core reaches the goal reward,
+        // so the tables compared are far from all-zero.
+        _data = swiftrl::rlcore::collectRandomDataset(*_env, 8000, 7);
     }
 
     void
@@ -148,12 +155,20 @@ class BatchIdentity : public ::testing::Test
         const auto batched = runTrain(w, _data, _env->numStates(),
                                       _env->numActions(), spec);
         EXPECT_TRUE(batched == scalar);
-        // Identity must be of real work, not two empty runs.
+        // Identity must be of real work, not two empty runs, and of
+        // trained tables: at least a quarter of the aggregated
+        // entries are non-zero (frozenlake's 5 terminal states keep 20
+        // of its 64 at zero, and INT8's coarse scale rounds more).
         EXPECT_GT(scalar.kernelSec, 0.0);
         std::uint64_t total_cycles = 0;
         for (const auto c : scalar.coreCycles)
             total_cycles += c;
         EXPECT_GT(total_cycles, 0u);
+        const auto trained = std::count_if(
+            scalar.q.begin(), scalar.q.end(),
+            [](float v) { return v != 0.0f; });
+        EXPECT_GE(4 * static_cast<std::size_t>(trained), scalar.q.size());
+        EXPECT_EQ(scalar.coresLost, spec.fault ? 1u : 0u);
     }
 
     std::unique_ptr<swiftrl::rlenv::Environment> _env;
@@ -167,6 +182,18 @@ TEST_F(BatchIdentity, EveryKernelVariantMatchesScalar)
     for (const Workload &w : swiftrl::extendedWorkloads()) {
         SCOPED_TRACE(w.name());
         expectBatchedIdentical(w, {});
+    }
+}
+
+TEST_F(BatchIdentity, NonDefaultScaleMatchesScalar)
+{
+    // The INT32 lanes divide by the default scale as a compile-time
+    // constant; any other scale takes the plain division.
+    for (const Workload &w : swiftrl::extendedWorkloads()) {
+        if (w.format != NumericFormat::Int32)
+            continue;
+        SCOPED_TRACE(w.name());
+        expectBatchedIdentical(w, {.scale = 4096});
     }
 }
 

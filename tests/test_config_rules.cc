@@ -112,6 +112,13 @@ const BadValue kBadValues[] = {
     {R"("transitions": 0)", {}, "\"transitions\" must be >= 1"},
     {R"("cores": 0)", {}, "\"cores\" must be >= 1"},
     {R"("cores": -1)", {}, "\"cores\" must not be negative, got -1"},
+    // Past the ceilings: refused, never an allocation failure. (The
+    // counts are 1e13 + 1, which the CLI column spells without an
+    // exponent, as its integer flags need.)
+    {R"("cores": 10000000000001, "transitions": 100)", {},
+     "\"cores\" must be <= 65536"},
+    {R"("transitions": 10000000000001)", {},
+     "\"transitions\" must be <= 67108864"},
     {R"("seed": -1)", {}, "\"seed\" must not be negative, got -1"},
     {R"("host_threads": -2)", {},
      "\"host_threads\" must not be negative, got -2"},

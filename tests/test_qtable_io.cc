@@ -1,11 +1,12 @@
 /**
  * @file
- * The host side of a synchronisation round: QTableIo::accumulateWire
- * decodes one core's Q wire image and adds it into a float sum.
- * Summing the live cores in ascending order into zeros and scaling
- * once by 1/live must equal QTable::average over the decoded tables
- * bit for bit, in every wire format, and its decode must equal the
- * per-slice decode the sharded path used before it.
+ * The host side of a synchronisation round: QTableIo::decodeWire and
+ * QTableIo::decodeEntry decode a core's Q wire image. Summing the
+ * live cores' decoded tables in ascending order into zeros and
+ * scaling once by 1/live must equal QTable::average over the tables
+ * the fixed-point reader builds, bit for bit, in every wire format;
+ * the decode must equal the per-slice decode the sharded path used
+ * before it; and the one-entry decode must equal the whole-image one.
  */
 
 #include <gtest/gtest.h>
@@ -88,11 +89,11 @@ sameBits(const std::vector<float> &a, const std::vector<float> &b)
                0;
 }
 
-class AccumulateWire : public ::testing::TestWithParam<NumericFormat>
+class DecodeWireFormats : public ::testing::TestWithParam<NumericFormat>
 {
 };
 
-TEST_P(AccumulateWire, EqualsDecodedTableAverageSkippingADeadCore)
+TEST_P(DecodeWireFormats, SumEqualsDecodedTableAverageSkippingADeadCore)
 {
     const NumericFormat format = GetParam();
     const QTableIo qio = ioFor(format);
@@ -100,6 +101,7 @@ TEST_P(AccumulateWire, EqualsDecodedTableAverageSkippingADeadCore)
     const ActionId na = 6;
     const std::size_t cores = 7;
     const std::size_t dead = 3;
+    const std::size_t entries = static_cast<std::size_t>(ns) * na;
 
     std::vector<std::vector<std::uint8_t>> wires;
     for (std::size_t c = 0; c < cores; ++c)
@@ -114,12 +116,15 @@ TEST_P(AccumulateWire, EqualsDecodedTableAverageSkippingADeadCore)
     }
     const QTable expected = QTable::average(live_tables);
 
-    std::vector<float> sum(static_cast<std::size_t>(ns) * na, 0.0f);
+    std::vector<float> sum(entries, 0.0f);
+    std::vector<float> table(entries);
     std::size_t live = 0;
     for (std::size_t c = 0; c < cores; ++c) {
         if (c == dead)
             continue;
-        qio.accumulateWire(wires[c], sum);
+        qio.decodeWire(wires[c], table);
+        for (std::size_t e = 0; e < entries; ++e)
+            sum[e] += table[e];
         ++live;
     }
     const float inv = 1.0f / static_cast<float>(live);
@@ -128,7 +133,7 @@ TEST_P(AccumulateWire, EqualsDecodedTableAverageSkippingADeadCore)
     EXPECT_TRUE(sameBits(sum, expected.values()));
 }
 
-TEST_P(AccumulateWire, EqualsTheSliceDecodeOnSlices)
+TEST_P(DecodeWireFormats, EqualsTheSliceDecodeOnSlices)
 {
     const NumericFormat format = GetParam();
     const QTableIo qio = ioFor(format);
@@ -144,24 +149,25 @@ TEST_P(AccumulateWire, EqualsTheSliceDecodeOnSlices)
             swiftrl::packSliceWire(qio, aggregated, map, s);
         const auto expected =
             sliceDecode(wire, entries, fp32, qio.fixedScale());
-        std::vector<float> summed(entries, 0.0f);
-        qio.accumulateWire(wire, summed);
-        EXPECT_TRUE(sameBits(summed, expected)) << "shard " << s;
         std::vector<float> decoded(entries, 123.0f);
         qio.decodeWire(wire, decoded);
         EXPECT_TRUE(sameBits(decoded, expected)) << "shard " << s;
+        std::vector<float> one_by_one(entries);
+        for (std::size_t e = 0; e < entries; ++e)
+            one_by_one[e] = qio.decodeEntry(wire, e);
+        EXPECT_TRUE(sameBits(one_by_one, expected)) << "shard " << s;
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, AccumulateWire,
+INSTANTIATE_TEST_SUITE_P(Formats, DecodeWireFormats,
                          ::testing::Values(NumericFormat::Fp32,
                                            NumericFormat::Int32,
                                            NumericFormat::Int8));
 
 TEST(DecodeWire, KeepsTheSignOfAZero)
 {
-    // Adding into +0.0f would turn a -0.0f entry into +0.0f; decoding
-    // accumulates into -0.0f instead, so the copy is exact.
+    // A decoded table is the wire's values exactly, the sign of a
+    // zero included.
     const QTableIo qio = ioFor(NumericFormat::Fp32);
     QTable q(1, 2);
     q.values() = {-0.0f, 1.5f};

@@ -304,7 +304,7 @@ TEST(ShardPacking, HaloWirePacksRowsInHaloOrder)
     EXPECT_TRUE(swiftrl::packHaloWire(qio, q, {}, 3).empty());
 }
 
-TEST(ShardPacking, AccumulateWireInvertsPackWire)
+TEST(ShardPacking, DecodeWireInvertsPackWire)
 {
     const QTable q = rampTable(6, 2);
     for (const auto format :
@@ -312,8 +312,8 @@ TEST(ShardPacking, AccumulateWireInvertsPackWire)
         const Workload w{Algorithm::QLearning, Sampling::Seq, format};
         const QTableIo qio(w, Hyper{});
         const auto wire = qio.packWire(q);
-        std::vector<float> decoded(q.entryCount(), 0.0f);
-        qio.accumulateWire(wire, decoded);
+        std::vector<float> decoded(q.entryCount());
+        qio.decodeWire(wire, decoded);
         ASSERT_EQ(decoded.size(), q.entryCount());
         if (format == NumericFormat::Fp32) {
             EXPECT_EQ(std::memcmp(decoded.data(), q.values().data(),
